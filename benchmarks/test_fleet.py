@@ -486,6 +486,12 @@ def _sweep_keys() -> list[RunKey]:
     ]
 
 
+def _run_per_key(engine: ExperimentEngine, keys: list[RunKey]) -> None:
+    """The sequential per-config loop: one ``execute_key`` per key."""
+    for key in keys:
+        engine.run(key)
+
+
 def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     """The batched-evaluation acceptance gate: ≥3× over the per-config
     loop at 32 budgets × 50k modules, with the batched path writing
@@ -498,8 +504,8 @@ def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     # Identity leg (doubles as warm-up): both paths populate a cache,
     # which must agree file-by-file, entry-by-entry.
     seq_dir, bat_dir = tmp_path / "seq", tmp_path / "bat"
-    ExperimentEngine(jobs=1, batch=False, cache_dir=seq_dir).submit_sweep(keys)
-    bat_engine = ExperimentEngine(jobs=1, batch=True, cache_dir=bat_dir)
+    _run_per_key(ExperimentEngine(jobs=1, cache_dir=seq_dir), keys)
+    bat_engine = ExperimentEngine(jobs=1, cache_dir=bat_dir)
     bat_engine.submit_sweep(keys)
     assert bat_engine.stats.n_batches == 1
     assert bat_engine.stats.batched_keys == SWEEP_BUDGETS
@@ -517,15 +523,18 @@ def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     walls: dict[bool, list[float]] = {False: [], True: []}
     for _ in range(SWEEP_REPEATS):
         for batch in (False, True):
-            engine = ExperimentEngine(jobs=1, batch=batch)
+            engine = ExperimentEngine(jobs=1)
             t0 = perf_counter()
-            engine.submit_sweep(keys)
+            if batch:
+                engine.submit_sweep(keys)
+            else:
+                _run_per_key(engine, keys)
             walls[batch].append(perf_counter() - t0)
 
     # One representative batched run under the benchmark timer.
     run_once(
         benchmark,
-        lambda: ExperimentEngine(jobs=1, batch=True).submit_sweep(keys),
+        lambda: ExperimentEngine(jobs=1).submit_sweep(keys),
     )
 
     seq_s, bat_s = min(walls[False]), min(walls[True])

@@ -322,13 +322,17 @@ def _fresh_sweep_speedup() -> float:
         )
         for cm in np.linspace(lo, hi, SWEEP_BUDGETS)
     ]
-    ExperimentEngine(jobs=1, batch=True).submit_sweep(keys)  # warm
+    ExperimentEngine(jobs=1).submit_sweep(keys)  # warm
     walls: dict[bool, list[float]] = {False: [], True: []}
     for _ in range(REPEATS):
         for batch in (False, True):
-            engine = ExperimentEngine(jobs=1, batch=batch)
+            engine = ExperimentEngine(jobs=1)
             t0 = perf_counter()
-            engine.submit_sweep(keys)
+            if batch:
+                engine.submit_sweep(keys)
+            else:  # the sequential per-config loop
+                for key in keys:
+                    engine.run(key)
             walls[batch].append(perf_counter() - t0)
     return min(walls[False]) / min(walls[True])
 

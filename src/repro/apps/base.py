@@ -24,12 +24,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.cluster.topology import grid_dims, torus_neighbors
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.module import ModuleArray
 from repro.hardware.power_model import PowerSignature
 from repro.hardware.variability import ModuleVariation
 from repro.simmpi import fastpath
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.tracing import RankTrace
 
 __all__ = ["CommSpec", "AppModel"]
@@ -197,8 +197,12 @@ class AppModel:
             apps are perfectly balanced; ≠1 models naturally imbalanced
             codes).
         noise_frac / noise_rng:
-            Per-phase operating-system noise (see
-            :class:`~repro.simmpi.BspMachine`).
+            Mean relative operating-system noise added to every compute
+            phase (one-sided exponential — interruptions only ever slow
+            a rank down), drawn from ``noise_rng``.  0 models the
+            paper's "no per-run noise" idealised ranks; a few tenths of
+            a percent reproduces the residual synchronisation spread of
+            uncapped runs (Fig 3, Cm = No).
         rate_jitter_frac / jitter_rng:
             Log-σ of a per-(rank, iteration) symmetric fluctuation of the
             effective compute speed.  Models the slow oscillation of a
@@ -215,8 +219,9 @@ class AppModel:
         communication executes as whole-fleet array operations with
         steady-state fast-forwarding; the ``"pipeline"`` kind falls back
         to the event-driven machine.  Stochastic runs need fresh draws
-        every iteration, so they keep the explicit per-iteration BSP
-        loop (and therefore require a BSP-expressible comm kind).
+        every iteration, so they step a one-row
+        :class:`~repro.simmpi.BatchedBspMachine` one phase at a time
+        (and therefore require a BSP-expressible comm kind).
         """
         iters = self.default_iters if n_iters is None else int(n_iters)
         if iters <= 0:
@@ -241,43 +246,40 @@ class AppModel:
                 f"per-iteration noise/jitter is only supported for "
                 f"BSP-expressible comm kinds, not {self.comm.kind!r}"
             )
-        machine = BspMachine(
-            rates_ghz,
+        if noise_frac < 0:
+            raise SimulationError("noise_frac must be non-negative")
+        if noise_frac > 0 and noise_rng is None:
+            raise SimulationError("noise_frac > 0 requires a noise_rng")
+        machine = BatchedBspMachine(
+            np.asarray(rates_ghz, dtype=float)[None],
             latency_s=latency_s,
             bandwidth_gbps=bandwidth_gbps,
-            noise_frac=noise_frac,
-            noise_rng=noise_rng,
         )
+        rates = machine.rates[0]
         n_ranks = machine.n_ranks
 
-        kappa = self.cpu_bound_fraction
-        base = self.iter_seconds_fmax
-        if work_imbalance is None:
-            scaled = np.ones(n_ranks)
-        else:
-            scaled = np.asarray(work_imbalance, dtype=float)
-            if scaled.shape != (n_ranks,):
-                raise ConfigurationError(
-                    "work_imbalance must have one entry per rank"
-                )
-        cpu_work = kappa * base * fmax_ghz * scaled  # GHz·seconds
-        fixed = (1.0 - kappa) * base * scaled  # seconds
-
+        # Per-rank GHz·seconds of CPU work and fixed seconds per iteration.
+        cpu_work, fixed = fastpath._app_work(
+            self, n_ranks, fmax_ghz, work_imbalance
+        )
         neighbors = self.neighbor_table(n_ranks)
         for _ in range(iters):
             if rate_jitter_frac > 0.0:
                 jitter = np.exp(
                     rate_jitter_frac * jitter_rng.standard_normal(n_ranks)
                 )
-                machine.compute(cpu_work * jitter)
+                dt = cpu_work * jitter / rates
             else:
-                machine.compute(cpu_work)
-            if kappa < 1.0:
-                machine.elapse(fixed)
+                dt = cpu_work / rates
+            if noise_frac > 0.0:
+                dt = dt * (1.0 + noise_frac * noise_rng.exponential(size=n_ranks))
+            machine.advance_local(dt)
+            if self.cpu_bound_fraction < 1.0:
+                machine.advance_local(fixed)
             if self.comm.kind == "neighbor":
                 machine.sendrecv(neighbors, self.comm.message_bytes)
             elif self.comm.kind == "allreduce":
                 machine.allreduce(max(self.comm.message_bytes, 8.0))
         if self.comm.final_allreduce:
             machine.allreduce(8.0)
-        return machine.trace()
+        return machine.traces()[0]

@@ -7,7 +7,7 @@ must budget for the aggregate profile; a phase-aware manager can re-solve
 higher frequency under the *same* instantaneous budget.
 
 :class:`AppPhase` describes one phase; :class:`PhasedApp` composes them
-into an iterating application runnable on the BSP machine with
+into an iterating application runnable on a one-row BSP machine with
 per-phase rates.  :mod:`repro.core.phase_budget` implements the
 phase-aware planner on top.
 """
@@ -20,9 +20,9 @@ import numpy as np
 
 from repro.apps.base import AppModel, CommSpec
 from repro.cluster.topology import grid_dims, torus_neighbors
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.tracing import RankTrace
 
 __all__ = ["AppPhase", "PhasedApp", "GMRES_LIKE"]
@@ -153,27 +153,36 @@ class PhasedApp:
                 f"rates_per_phase must have shape (n_phases={len(self.phases)}, "
                 f"n_ranks); got {rates.shape}"
             )
+        if np.any(~np.isfinite(rates)) or np.any(rates <= 0):
+            raise SimulationError("rates must be finite and positive")
         n_ranks = rates.shape[1]
-        machine = BspMachine(
-            rates[0], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
+        machine = BatchedBspMachine(
+            rates[:1], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
         )
+        # Per-phase local time is the same every iteration: (CPU work at
+        # the phase's rates, frequency-insensitive seconds or None).
+        steps = []
+        for phase, phase_rates in zip(self.phases, rates):
+            kappa = phase.cpu_bound_fraction
+            steps.append((
+                kappa * phase.seconds_fmax * fmax_ghz / phase_rates,
+                (1.0 - kappa) * phase.seconds_fmax if kappa < 1.0 else None,
+            ))
         neighbors = (
             torus_neighbors(grid_dims(n_ranks, self.comm.ndim))
             if self.comm.kind == "neighbor"
             else None
         )
         for _ in range(iters):
-            for phase, phase_rates in zip(self.phases, rates):
-                machine.set_rates(phase_rates)
-                kappa = phase.cpu_bound_fraction
-                machine.compute(kappa * phase.seconds_fmax * fmax_ghz)
-                if kappa < 1.0:
-                    machine.elapse((1.0 - kappa) * phase.seconds_fmax)
+            for compute_dt, fixed_s in steps:
+                machine.advance_local(compute_dt)
+                if fixed_s is not None:
+                    machine.advance_local(fixed_s)
             if self.comm.kind == "neighbor":
                 machine.sendrecv(neighbors, self.comm.message_bytes)
             elif self.comm.kind == "allreduce":
                 machine.allreduce(max(self.comm.message_bytes, 8.0))
-        return machine.trace()
+        return machine.traces()[0]
 
 
 #: A Krylov-solver-like example: a compute-heavy kernel phase, a

@@ -1,7 +1,7 @@
 """Program builders for the event-driven simulator.
 
 The paper's benchmarks are bulk-synchronous and run on the vectorised
-:class:`~repro.simmpi.BspMachine`; these builders express the same
+:class:`~repro.simmpi.BatchedBspMachine`; these builders express the same
 communication skeletons (and two non-BSP ones) as explicit per-rank
 programs for :class:`~repro.simmpi.EventDrivenMachine` — useful for
 validating the fast path and for studying codes the paper's model
@@ -34,9 +34,9 @@ def halo_exchange_program(
 ) -> Callable[[int], Iterator]:
     """BSP halo exchange: compute, send to all neighbours, receive from all.
 
-    Matches the :meth:`~repro.simmpi.BspMachine.sendrecv` semantics when
-    transfer costs are negligible — the cross-validation tests rely on
-    this equivalence.
+    Matches the :meth:`~repro.simmpi.BatchedBspMachine.sendrecv`
+    semantics when transfer costs are negligible — the cross-validation
+    tests rely on this equivalence.
     """
     nb = np.asarray(neighbors)
     if nb.ndim != 2:

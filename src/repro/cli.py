@@ -17,12 +17,11 @@ Lists and runs the paper's tables/figures and the ablation studies::
 Sweep experiments route through the execution engine
 (:mod:`repro.exec`): ``--jobs`` fans cache misses out over a process
 pool, ``--cache-dir``/``--no-cache`` control the persistent run cache,
-``--batch``/``--no-batch`` toggles config-batched execution (on by
-default: misses sharing a system/fleet/app run as one vectorised pass,
-with fleets handed to workers once via shared memory), and ``--stats``
-prints per-run observability afterwards.  Engine results are
-bit-identical regardless of ``--jobs``, ``--batch``, and cache state
-(see ``tests/exec/``), so the flags trade time, never accuracy.
+and ``--stats`` prints per-run observability afterwards.  Cache misses
+sharing a system/fleet/app run as one vectorised config batch, with
+fleets handed to workers once via shared memory.  Engine results are
+bit-identical regardless of ``--jobs`` and cache state (see
+``tests/exec/``), so the flags trade time, never accuracy.
 ``repro stats <experiment>`` runs one experiment with telemetry on and
 reports the batching/amortisation counters.
 
@@ -142,14 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the persistent run cache entirely",
-    )
-    parser.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="batch cache misses sharing a system/fleet/app into single "
-        "vectorised passes (default: on; --no-batch restores per-key "
-        "execution — results are bit-identical either way)",
     )
     parser.add_argument(
         "--shard-ranks",
@@ -300,7 +291,6 @@ def _configure_engine(args: argparse.Namespace):
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        batch=args.batch,
         shard=_shard_arg(args),
         pin=args.pin,
     )
@@ -470,7 +460,10 @@ def _format_batch_counters() -> str:
                 ]
             )
     if not rows:
-        return "-- batching: no batched dispatches recorded (was --no-batch set?)"
+        return (
+            "-- batching: no batched dispatches recorded (every cache miss "
+            "ran alone, or all keys were cache hits)"
+        )
     return render_table(
         ["Metric", "Count", "Mean", "Range"],
         rows,

@@ -1,13 +1,14 @@
 """End-to-end orchestration: plan → actuate → run → measure.
 
-:func:`run_budgeted` executes the paper's full workflow (Fig 4) for one
-(system, application, scheme, budget) combination:
+:func:`run_budgeted_batched` executes the paper's full workflow (Fig 4)
+for a batch of (scheme, budget) configs of one (system, application);
+:func:`run_budgeted` is the one-config case:
 
-1. plan — :meth:`Scheme.allocate <repro.core.schemes.Scheme.allocate>`
-   builds the scheme's PMT (PVT + single-module test runs, oracle, or
-   TDP defaults) and solves for α and the module-level allocations
-   (Eq 5–9), returning a
-   :class:`~repro.core.schemes.PowerAllocation`;
+1. plan — :meth:`Scheme.allocate_batched
+   <repro.core.schemes.Scheme.allocate_batched>` builds the scheme's PMT
+   (PVT + single-module test runs, oracle, or TDP defaults) and solves
+   for α and the module-level allocations (Eq 5–9), returning one
+   :class:`~repro.core.schemes.PowerAllocation` per budget;
 2. actuate — RAPL caps (PC) or a pinned common frequency (FS);
 3. simulate the application on the realised per-module work rates;
 4. measure realised power and collect the Vp/Vf/Vt statistics.
@@ -15,13 +16,15 @@
 :func:`run_uncapped` provides the unconstrained reference execution the
 paper normalises against ("Cm = No" in Fig 2/3/8).
 
-Simulation routing: every managed execution goes through
-:func:`repro.simmpi.fastpath.simulate_app` — BSP-expressible
-applications (all of the paper's benchmarks) run as whole-fleet
-vectorised array operations with steady-state fast-forwarding, which is
-what makes the 10k–200k-module fleet sweeps tractable; any non-BSP
-communication pattern falls back, explicitly and automatically, to the
-event-driven :class:`~repro.simmpi.EventDrivenMachine`.
+Simulation routing: budgeted runs go through
+:func:`repro.simmpi.fastpath.simulate_app_batched`, uncapped runs
+through its one-run form :func:`~repro.simmpi.fastpath.simulate_app`.
+BSP-expressible applications (all of the paper's benchmarks) run as
+whole-fleet vectorised array operations with steady-state
+fast-forwarding, which is what makes the 10k–200k-module fleet sweeps
+tractable; any non-BSP communication pattern falls back, explicitly and
+automatically, to the event-driven
+:class:`~repro.simmpi.EventDrivenMachine`.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from repro.control.rapl_cap import RaplCapController
 from repro.core.budget import BudgetSolution
 from repro.core.pmmd import InstrumentedApp
 from repro.core.pvt import PowerVariationTable
-from repro.core.schemes import PowerAllocation, Scheme, get_scheme
-from repro.errors import ConfigurationError, InfeasibleBudgetError
+from repro.core.schemes import Scheme, get_scheme
+from repro.errors import InfeasibleBudgetError
 from repro.hardware.module import ModuleArray, OperatingPoint
 from repro.simmpi.fastpath import simulate_app, simulate_app_batched
 from repro.simmpi.tracing import RankTrace
@@ -297,7 +300,7 @@ def _fs_operating_point_mixed(
     return op, freqs, truth.cpu_power_at(op)
 
 
-def _actuate(
+def _actuate_pc(
     system: System,
     truth: ModuleArray,
     model: AppModel,
@@ -306,41 +309,26 @@ def _actuate(
     budget_w: float,
     noisy: bool,
 ) -> tuple[OperatingPoint, np.ndarray, np.ndarray, np.ndarray]:
-    """Turn a planned allocation into realised operating points.
+    """Enforce a planned allocation's CPU caps through RAPL.
 
     Returns ``(op, effective_freq_ghz, cpu_power_w, cap_met)``.  The
     RAPL dither stream is keyed by (app, scheme, budget), so actuation
     is config-local — identical whether the config runs alone or inside
     a batch.
     """
-    arch = system.arch
-    if scheme.actuation == "pc":
-        rng = (
-            system.rng.rng(f"rapl/{model.name}/{scheme.name}/{budget_w:.0f}")
-            if noisy
-            else None
-        )
-        controller = RaplCapController(
-            truth,
-            rng=rng,
-            dither_loss_frac=0.02 if noisy else 0.0,
-            guardband_frac=0.01 if noisy else 0.0,
-        )
-        enf = controller.enforce(sol.pcpu_w, model.signature)
-        return enf.op, enf.effective_freq_ghz, enf.cpu_power_w, enf.cap_met
-    # fs: round the common frequency *down* onto the ladder — requesting
-    # the next P-state up could push total power past the budget.  Mixed
-    # fleets realise the shared α per type, on each type's own ladder.
-    if truth.is_mixed:
-        freqs, _key = _fs_mixed_freqs(truth, sol.alpha)
-        op, eff, cpu_power = _fs_operating_point_mixed(truth, model, freqs)
-    else:
-        f_common = float(arch.ladder.quantize_down(sol.freq_ghz))
-        op, eff, cpu_power = _fs_operating_point(truth, model, f_common)
-    # FS never throttles, so the *derived* CPU cap may be exceeded on
-    # leaky modules (paper Section 5.3) — report it honestly.
-    cap_met = cpu_power <= sol.pcpu_w + 1e-9
-    return op, eff, cpu_power, cap_met
+    rng = (
+        system.rng.rng(f"rapl/{model.name}/{scheme.name}/{budget_w:.0f}")
+        if noisy
+        else None
+    )
+    controller = RaplCapController(
+        truth,
+        rng=rng,
+        dither_loss_frac=0.02 if noisy else 0.0,
+        guardband_frac=0.01 if noisy else 0.0,
+    )
+    enf = controller.enforce(sol.pcpu_w, model.signature)
+    return enf.op, enf.effective_freq_ghz, enf.cpu_power_w, enf.cap_met
 
 
 def run_budgeted(
@@ -355,9 +343,11 @@ def run_budgeted(
     noisy: bool = True,
     fs_guardband_frac: float = 0.02,
     chunk_modules: int | None = None,
-    allocation: PowerAllocation | None = None,
 ) -> RunResult:
-    """Run ``app`` on ``system`` under ``budget_w`` with one scheme.
+    """Run ``app`` on ``system`` under ``budget_w`` with one scheme: a
+    one-config :func:`run_budgeted_batched`.  Its simulation runs as one
+    unsharded row, so with telemetry on it records the run's phase
+    timeline.
 
     Parameters
     ----------
@@ -381,18 +371,11 @@ def run_budgeted(
         planning margin — RAPL enforces the caps in hardware.
     chunk_modules:
         Memory knob forwarded to the α-solve
-        (:func:`~repro.core.budget.solve_alpha`): when set, aggregates
-        and allocations are evaluated in chunks of this many modules,
-        bounding peak temporary memory at fleet scale (the 10k–200k
-        module sweeps).  ``None`` (the default) uses fused whole-fleet
-        expressions.
-    allocation:
-        A precomputed :class:`~repro.core.schemes.PowerAllocation` (from
-        :meth:`Scheme.allocate <repro.core.schemes.Scheme.allocate>`).
-        When given, the planning step is skipped and this allocation is
-        actuated directly — callers that plan once and run many times
-        (or inspect the plan before committing) pass it here.  It must
-        have been planned for this scheme and budget.
+        (:func:`~repro.core.budget.solve_alpha_batched`): when set,
+        aggregates and allocations are evaluated in chunks of this many
+        modules, bounding peak temporary memory at fleet scale (the
+        10k–200k module sweeps).  ``None`` (the default) uses fused
+        whole-fleet expressions.
 
     Raises
     ------
@@ -400,64 +383,21 @@ def run_budgeted(
         If the scheme's PMT says the budget cannot be met at fmin
         (Table 4's "–" cells).
     """
-    model, pmmd = _unwrap(app)
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
-    with telemetry.span(
-        "run.budgeted",
-        app=model.name,
-        scheme=scheme.name,
-        budget_w=float(budget_w),
-    ):
-        telemetry.count("run.budgeted")
-        telemetry.count(f"run.scheme[{scheme.name}]")
-        truth = _truth_view(system, model)
-        arch = system.arch
-        n = truth.n_modules
-
-        if allocation is None:
-            with telemetry.span("run.plan", scheme=scheme.name):
-                allocation = scheme.allocate(
-                    system,
-                    model,
-                    budget_w,
-                    pvt=pvt,
-                    test_module=test_module,
-                    noisy=noisy,
-                    fs_guardband_frac=fs_guardband_frac,
-                    chunk_modules=chunk_modules,
-                )
-        elif allocation.scheme.name != scheme.name or allocation.n_modules != n:
-            raise ConfigurationError(
-                f"allocation was planned for scheme "
-                f"{allocation.scheme.name!r} over {allocation.n_modules} "
-                f"modules; run requested {scheme.name!r} over {n}"
-            )
-        sol = allocation.solution
-
-        with telemetry.span("run.actuate", actuation=scheme.actuation):
-            op, eff, cpu_power, cap_met = _actuate(
-                system, truth, model, scheme, sol, budget_w, noisy
-            )
-
-        rates = _work_rates(truth, eff)
-        with telemetry.span("run.simulate"):
-            trace = simulate_app(model, rates, arch.fmax, n_iters=n_iters)
-        result = RunResult(
-            app_name=model.name,
-            scheme_name=scheme.name,
-            budget_w=float(budget_w),
-            solution=sol,
-            effective_freq_ghz=np.asarray(eff, dtype=float),
-            cpu_power_w=cpu_power,
-            dram_power_w=truth.dram_power_at(op),
-            cap_met=np.asarray(cap_met, dtype=bool),
-            trace=trace,
-        )
-        _record_run(result)
-        if pmmd is not None:
-            pmmd.record(result.makespan_s, result.total_power_w, plan=scheme.name)
-        return result
+    (out,) = run_budgeted_batched(
+        system,
+        app,
+        [(scheme, budget_w)],
+        pvt=pvt,
+        test_module=test_module,
+        n_iters=n_iters,
+        noisy=noisy,
+        fs_guardband_frac=fs_guardband_frac,
+        chunk_modules=chunk_modules,
+        shard=None,
+    )
+    if isinstance(out, InfeasibleBudgetError):
+        raise out
+    return out
 
 
 def run_budgeted_batched(
@@ -492,11 +432,10 @@ def run_budgeted_batched(
     shared-memory state plane).  Sharding is pure execution layout:
     results are bit-identical either way.
 
-    Entry *i* is the :class:`RunResult` a per-config
-    :func:`run_budgeted` call would return — bit-identical, every stage
-    performs the same elementwise arithmetic on the same deterministic
-    RNG streams — or the :class:`~repro.errors.InfeasibleBudgetError` it
-    would raise.
+    Entry *i* is the :class:`RunResult` of config *i* — the same bits
+    whatever else is in the batch, since every stage performs the same
+    elementwise arithmetic on the same deterministic RNG streams — or
+    the :class:`~repro.errors.InfeasibleBudgetError` its budget raises.
     """
     model, pmmd = _unwrap(app)
     resolved = [
@@ -522,16 +461,17 @@ def run_budgeted_batched(
             by_scheme.setdefault(scheme.name, []).append(i)
             schemes[scheme.name] = scheme
         for name, idxs in by_scheme.items():
-            plans = schemes[name].allocate_batched(
-                system,
-                model,
-                [resolved[i][1] for i in idxs],
-                pvt=pvt,
-                test_module=test_module,
-                noisy=noisy,
-                fs_guardband_frac=fs_guardband_frac,
-                chunk_modules=chunk_modules,
-            )
+            with telemetry.span("run.plan", scheme=name):
+                plans = schemes[name].allocate_batched(
+                    system,
+                    model,
+                    [resolved[i][1] for i in idxs],
+                    pvt=pvt,
+                    test_module=test_module,
+                    noisy=noisy,
+                    fs_guardband_frac=fs_guardband_frac,
+                    chunk_modules=chunk_modules,
+                )
             for i, plan in zip(idxs, plans):
                 allocations[i] = plan
 
@@ -545,12 +485,18 @@ def run_budgeted_batched(
             telemetry.count(f"run.scheme[{scheme.name}]")
             with telemetry.span("run.actuate", actuation=scheme.actuation):
                 if scheme.actuation == "fs":
-                    # The ladder is discrete, so many budgets of a sweep
-                    # quantize onto the same frequency; their realised
-                    # operating points are identical and shared.  Only
-                    # cap_met depends on the budget's derived caps.  On a
-                    # mixed fleet the dedup key is the per-type frequency
-                    # tuple — one pinned frequency per device type.
+                    # Round the common frequency *down* onto the ladder —
+                    # requesting the next P-state up could push total
+                    # power past the budget.  The ladder is discrete, so
+                    # many budgets of a sweep quantize onto the same
+                    # frequency; their realised operating points are
+                    # identical and shared.  Only cap_met depends on the
+                    # budget's derived caps: FS never throttles, so the
+                    # derived CPU cap may be exceeded on leaky modules
+                    # (paper Section 5.3) — reported honestly.  On a
+                    # mixed fleet each type realises the shared α on its
+                    # own ladder, and the dedup key is the per-type
+                    # frequency tuple.
                     sol = plan.solution
                     if truth.is_mixed:
                         freqs, key = _fs_mixed_freqs(truth, sol.alpha)
@@ -570,7 +516,7 @@ def run_budgeted_batched(
                     acts[i] = (op, eff, cpu_power, cpu_power <= sol.pcpu_w + 1e-9)
                     fs_key[i] = key
                 else:
-                    acts[i] = _actuate(
+                    acts[i] = _actuate_pc(
                         system, truth, model, scheme, plan.solution, budget_w, noisy
                     )
 

@@ -15,11 +15,12 @@ A scheme is *how the PMT is obtained* plus *how the allocation is
 actuated*; everything downstream (α-solve, allocation, run) is shared.
 
 Every scheme exposes one uniform planning interface,
-:meth:`Scheme.allocate`: given the fleet (a :class:`System` or a bare
-:class:`~repro.hardware.ModuleArray`) and an application-level budget,
-it returns a :class:`PowerAllocation` — the scheme's PMT plus the
-α-solve — which :func:`repro.core.runner.run_budgeted` and the fleet
-experiments consume for actuation.  Planning is pure array work: the
+:meth:`Scheme.allocate_batched` (:meth:`Scheme.allocate` is its
+one-budget form): given the fleet (a :class:`System` or a bare
+:class:`~repro.hardware.ModuleArray`) and application-level budgets,
+it returns one :class:`PowerAllocation` per budget — the scheme's PMT
+plus the α-solve — which :func:`repro.core.runner.run_budgeted_batched`
+consumes for actuation.  Planning is pure array work: the
 PMT is columnar, the α-solve vectorised, and ``chunk_modules`` bounds
 peak temporary memory at fleet scale.
 """
@@ -33,7 +34,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.apps.base import AppModel
 from repro.cluster.system import System
-from repro.core.budget import BudgetSolution, solve_alpha, solve_alpha_batched
+from repro.core.budget import BudgetSolution, solve_alpha_batched
 from repro.core.pmt import (
     PowerModelTable,
     calibrate_pmt,
@@ -173,7 +174,8 @@ class Scheme:
         The uniform planning interface shared by every scheme: build the
         scheme's PMT, apply the FS planning guardband where the
         actuation cannot enforce power in hardware, and solve Eq (5)–(9)
-        for the per-module allocations.  ``fleet`` may be a full
+        for the per-module allocations — a one-budget
+        :meth:`allocate_batched`.  ``fleet`` may be a full
         :class:`System` or a bare
         :class:`~repro.hardware.ModuleArray` (wrapped in a deterministic
         system — useful for synthetic fleet studies).  ``chunk_modules``
@@ -184,35 +186,19 @@ class Scheme:
         InfeasibleBudgetError
             If the scheme's PMT says the budget cannot be met at fmin.
         """
-        with telemetry.span("scheme.allocate", scheme=self.name):
-            telemetry.count(f"scheme.allocate[{self.name}]")
-            system = _as_system(fleet)
-            pmt = self.build_pmt(
-                system, app, pvt=pvt, test_module=test_module, noisy=noisy
-            )
-            if self.actuation == "fs" and fs_guardband_frac > 0.0:
-                # Derate the planning budget, but never below the fmin
-                # floor: the guardband must not turn a feasible budget
-                # infeasible (it would just mean "run at fmin").  A
-                # genuinely infeasible budget still raises from the solve.
-                derated = budget_w * (1.0 - fs_guardband_frac)
-                floor = pmt.model.total_min_w()
-                if budget_w >= floor:
-                    derated = max(derated, floor)
-                sol = solve_alpha(pmt.model, derated, chunk_modules=chunk_modules)
-                sol = BudgetSolution(
-                    alpha=sol.alpha,
-                    raw_alpha=sol.raw_alpha,
-                    constrained=sol.constrained,
-                    freq_ghz=sol.freq_ghz,
-                    pmodule_w=sol.pmodule_w,
-                    pcpu_w=sol.pcpu_w,
-                    pdram_w=sol.pdram_w,
-                    budget_w=float(budget_w),
-                )
-            else:
-                sol = solve_alpha(pmt.model, budget_w, chunk_modules=chunk_modules)
-            return PowerAllocation(scheme=self, pmt=pmt, solution=sol)
+        (out,) = self.allocate_batched(
+            fleet,
+            app,
+            [budget_w],
+            pvt=pvt,
+            test_module=test_module,
+            noisy=noisy,
+            fs_guardband_frac=fs_guardband_frac,
+            chunk_modules=chunk_modules,
+        )
+        if isinstance(out, InfeasibleBudgetError):
+            raise out
+        return out
 
     def allocate_batched(
         self,
@@ -229,14 +215,19 @@ class Scheme:
         """Plan this scheme for *many* budgets: one PMT build, one
         batched α-solve.
 
-        Entry *i* is either the :class:`PowerAllocation` the per-budget
-        :meth:`allocate` would return for ``budgets_w[i]`` — bit-identical,
+        Entry *i* is either the :class:`PowerAllocation` for
+        ``budgets_w[i]`` — the same bits whatever the other budgets,
         because the PMT build is deterministic (every RNG stream restarts
-        per call) and the batched solve performs the same elementwise
-        arithmetic — or the :class:`~repro.errors.InfeasibleBudgetError`
-        it would raise (same (budget, floor) payload), so callers decide
-        per budget instead of losing the whole sweep to one infeasible
-        point.
+        per call) and the batched solve is elementwise per budget — or
+        the :class:`~repro.errors.InfeasibleBudgetError` for it, so
+        callers decide per budget instead of losing the whole sweep to
+        one infeasible point.
+
+        FS schemes plan against a derated budget: frequency selection
+        cannot *enforce* power (Section 5.3), so the α-solve runs
+        ``fs_guardband_frac`` below each budget, never below the fmin
+        floor for a feasible one.  Infeasible budgets carry the derated
+        budget in their error.
         """
         budgets = np.atleast_1d(np.asarray(budgets_w, dtype=float))
         with telemetry.span(
@@ -251,9 +242,8 @@ class Scheme:
             )
             fs_derated = self.actuation == "fs" and fs_guardband_frac > 0.0
             if fs_derated:
-                # Same per-budget derating as allocate(): never below
-                # the fmin floor for feasible budgets, and infeasible
-                # ones carry the *derated* budget in their error.
+                # The guardband must not turn a feasible budget
+                # infeasible (it would just mean "run at fmin").
                 derated = budgets * (1.0 - fs_guardband_frac)
                 floor = pmt.model.total_min_w()
                 derated = np.where(
@@ -307,8 +297,8 @@ class PowerAllocation:
     """A scheme's planned power allocation for one (fleet, app, budget).
 
     The uniform currency between planning and actuation: produced by
-    :meth:`Scheme.allocate`, consumed by
-    :func:`repro.core.runner.run_budgeted` (RAPL caps or a pinned
+    :meth:`Scheme.allocate_batched`, consumed by
+    :func:`repro.core.runner.run_budgeted_batched` (RAPL caps or a pinned
     common frequency) and by the fleet experiments.  All per-module
     state is columnar (the PMT's endpoint arrays, the solution's
     allocation arrays).

@@ -5,8 +5,10 @@
 
 * every run is addressed by a :class:`~repro.exec.cache.RunKey` and can
   be answered from the persistent :class:`~repro.exec.cache.ResultCache`;
-* :meth:`ExperimentEngine.submit_sweep` fans cache misses out over a
-  process pool (``jobs`` workers);
+* :meth:`ExperimentEngine.submit_sweep` runs cache misses sharing a
+  system/fleet/app as one config batch
+  (:func:`~repro.core.runner.run_budgeted_batched`) and fans groups out
+  over a process pool (``jobs`` workers);
 * every dispatch is recorded in :class:`~repro.exec.metrics.RunStats`.
 
 Determinism
@@ -129,7 +131,7 @@ def execute_key(key: RunKey) -> RunResult:
     """Execute the run a :class:`RunKey` describes (no cache involved).
 
     Raises :class:`InfeasibleBudgetError` for budgets below the fmin
-    floor, exactly like :func:`~repro.core.runner.run_budgeted`.
+    floor, like :func:`~repro.core.runner.run_budgeted`.
 
     When telemetry is enabled, everything the run records (spans,
     timelines, per-module arrays) is scoped to the key's digest prefix —
@@ -324,12 +326,6 @@ class ExperimentEngine:
     stats:
         Share an existing :class:`RunStats` collector (defaults to a
         fresh one, exposed as :attr:`stats`).
-    batch:
-        Route :meth:`submit_sweep` through :meth:`submit_batched_sweep`
-        (the default): cache misses sharing a system/fleet/app execute
-        as one vectorised pass instead of per-key loops.  Results are
-        bit-identical either way; ``batch=False`` restores the per-key
-        path (also the automatic fallback for keys that cannot batch).
     shard:
         Execution layout for batched groups, forwarded to
         :func:`~repro.core.runner.run_budgeted_batched`: ``"auto"``
@@ -347,7 +343,6 @@ class ExperimentEngine:
         cache_dir: str | None = None,
         use_cache: bool | None = None,
         stats: RunStats | None = None,
-        batch: bool = True,
         shard="auto",
         pin: bool | None = None,
     ):
@@ -361,7 +356,6 @@ class ExperimentEngine:
             ResultCache(cache_dir) if use_cache else None
         )
         self.stats = stats if stats is not None else RunStats()
-        self.batch = bool(batch)
         self.shard = shard
 
     # -- pool construction ---------------------------------------------------
@@ -450,52 +444,6 @@ class ExperimentEngine:
 
     # -- sweeps --------------------------------------------------------------
 
-    def submit_sweep(
-        self,
-        keys: Sequence[RunKey],
-        *,
-        skip_infeasible: bool = False,
-    ) -> list[RunResult | None]:
-        """Run every key, answering from the cache and fanning misses out
-        over the process pool; results come back in input order.
-
-        With ``skip_infeasible=True`` an infeasible budget yields ``None``
-        in its slot instead of raising (sweeps over feasibility edges,
-        e.g. the uncertainty study).
-        """
-        if self.batch:
-            return self.submit_batched_sweep(keys, skip_infeasible=skip_infeasible)
-        results: list[RunResult | None] = [None] * len(keys)
-        pending = self._scan_cache(keys, results, skip_infeasible)
-        if not pending:
-            return results
-
-        if self.jobs > 1 and len(pending) > 1:
-            workers = min(self.jobs, len(pending))
-            with self._pool(workers) as pool:
-                outcomes = list(pool.map(_pool_run, [k for _, k in pending]))
-        else:
-            outcomes = [_pool_run(k) for _, k in pending]
-
-        source = "miss" if self.cache is not None else "exec"
-        for (i, key), (tag, payload, wall_s) in zip(pending, outcomes):
-            self.stats.record(key.describe(), source, wall_s)
-            if tag == "infeasible":
-                budget_w, floor_w = payload
-                exc = InfeasibleBudgetError(budget_w, floor_w)
-                if self.cache is not None:
-                    self.cache.put_infeasible(key, exc)
-                if skip_infeasible:
-                    continue
-                raise exc
-            assert isinstance(payload, RunResult)
-            if self.cache is not None:
-                self.cache.put(key, payload)
-            results[i] = payload
-        return results
-
-    # -- batched sweeps ------------------------------------------------------
-
     def _scan_cache(
         self,
         keys: Sequence[RunKey],
@@ -524,27 +472,30 @@ class ExperimentEngine:
                 pending.append((i, key))
         return pending
 
-    def submit_batched_sweep(
+    def submit_sweep(
         self,
         keys: Sequence[RunKey],
         *,
         skip_infeasible: bool = False,
     ) -> list[RunResult | None]:
-        """Run every key with cache misses batched per system/fleet/app.
+        """Run every key, answering from the cache and batching misses per
+        system/fleet/app; results come back in input order.
 
-        The cache pass is identical to :meth:`submit_sweep`.  Pending
-        budgeted keys sharing a :func:`_group_signature` then execute as
-        **one** vectorised :func:`~repro.core.runner.run_budgeted_batched`
-        pass per group — one fleet build, one PMT + batched α-solve per
-        scheme, one 2-D simulation.  Keys that cannot batch (uncapped
-        runs, singleton groups) fall back to the per-key path.  With
+        Pending budgeted keys sharing a :func:`_group_signature` execute
+        as **one** :func:`~repro.core.runner.run_budgeted_batched` pass
+        per group — one fleet build, one PMT + batched α-solve per
+        scheme, one 2-D simulation.  Uncapped keys and singleton groups
+        run one at a time through :func:`execute_key`.  With
         ``jobs > 1`` each distinct fleet ships to the worker pool once
         through :mod:`repro.exec.shared` (zero-copy shared-memory views)
-        and each group is a single pool task.
+        and each group or single key is one pool task.
 
         Results, cache payloads, key digests, and infeasible semantics
-        are bit-identical to the sequential path; per-key stats record
-        the group wall time amortised over its members.
+        are bit-identical to running each key alone with :meth:`run`;
+        per-key stats record the group wall time amortised over its
+        members.  With ``skip_infeasible=True`` an infeasible budget
+        yields ``None`` in its slot instead of raising (sweeps over
+        feasibility edges, e.g. the uncertainty study).
         """
         results: list[RunResult | None] = [None] * len(keys)
         pending = self._scan_cache(keys, results, skip_infeasible)
@@ -552,7 +503,7 @@ class ExperimentEngine:
             return results
 
         # Partition: batched groups (>= 2 budgeted keys sharing a
-        # signature) vs everything else on the per-key path.
+        # signature) vs keys that run alone.
         by_sig: dict[tuple, list[tuple[int, RunKey]]] = {}
         singles: list[tuple[int, RunKey]] = []
         for i, key in pending:
@@ -618,7 +569,7 @@ class ExperimentEngine:
                 outcome[i] = (tag, payload, wall_s)
 
         # Fold outcomes back in *pending* order so stats, cache writes,
-        # and the first-infeasible raise match the sequential path.
+        # and the first-infeasible raise follow the input order.
         source = "miss" if self.cache is not None else "exec"
         for i, key in pending:
             tag, payload, wall_s = outcome[i]
@@ -636,6 +587,9 @@ class ExperimentEngine:
                 self.cache.put(key, payload)
             results[i] = payload
         return results
+
+    #: Alias of :meth:`submit_sweep`; callers use both names.
+    submit_batched_sweep = submit_sweep
 
     # -- generic fan-out -----------------------------------------------------
 
@@ -666,15 +620,14 @@ def configure(
     jobs: int | None = 1,
     cache_dir: str | None = None,
     use_cache: bool | None = None,
-    batch: bool = True,
     shard="auto",
     pin: bool | None = None,
 ) -> ExperimentEngine:
     """Install the process-global engine (called by the CLI front-end)."""
     global _engine
     _engine = ExperimentEngine(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, batch=batch,
-        shard=shard, pin=pin,
+        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, shard=shard,
+        pin=pin,
     )
     return _engine
 

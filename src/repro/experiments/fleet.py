@@ -11,17 +11,15 @@ variation-aware allocation) persist, grow, or wash out with scale.
 
 Scale is only tractable because everything in the loop is vectorised
 over modules: the variation draw, the PMTs, the α-solve
-(:func:`~repro.core.budget.solve_alpha` with its ``chunk_modules``
-memory knob, so peak temporary memory stays bounded), RAPL cap
-resolution, and the simulator's bulk-synchronous fast path
+(:func:`~repro.core.budget.solve_alpha_batched` with its
+``chunk_modules`` memory knob, so peak temporary memory stays bounded),
+RAPL cap resolution, and the simulator's bulk-synchronous fast path
 (:mod:`repro.simmpi.fastpath`), which executes the application as
-whole-fleet array operations instead of per-rank Python.  Planning goes
-through the uniform :meth:`Scheme.allocate
-<repro.core.schemes.Scheme.allocate>` interface — each scheme's
-:class:`~repro.core.schemes.PowerAllocation` is computed up front and
-handed to :func:`~repro.core.runner.run_budgeted` for actuation.  A
-100k-module run completes in seconds; ``benchmarks/test_fleet.py``
-tracks the ranks/sec trajectory.
+whole-fleet array operations instead of per-rank Python.  All schemes
+of one fleet point run as one config batch
+(:func:`~repro.core.runner.run_budgeted_batched`).  A 100k-module run
+completes in seconds; ``benchmarks/test_fleet.py`` tracks the ranks/sec
+trajectory.
 
 Only the oracle schemes (VaPcOr, VaFsOr) join Naïve here: they bound
 what variation-awareness can buy without dragging PVT generation into
@@ -37,9 +35,7 @@ from time import perf_counter
 import repro.telemetry as telemetry
 from repro.apps import get_app
 from repro.cluster.configs import build_system
-from repro.core.runner import run_budgeted, run_budgeted_batched
-from repro.core.schemes import get_scheme
-from repro.exec import get_engine
+from repro.core.runner import run_budgeted_batched
 from repro.experiments.common import DEFAULT_SEED
 from repro.service.api import AllocationRequest
 from repro.util.tables import render_table
@@ -106,7 +102,6 @@ def run_fleet_point(
     n_iters: int = FLEET_ITERS,
     seed: int = DEFAULT_SEED,
     chunk_modules: int = FLEET_CHUNK,
-    batch: bool | None = None,
     shard="auto",
 ) -> FleetPoint:
     """Run the scheme comparison on one synthetic fleet size.
@@ -114,21 +109,16 @@ def run_fleet_point(
     Builds a fresh (uncached) HA8K-architecture system of ``n_modules``,
     runs each scheme in :data:`FLEET_SCHEMES` deterministically
     (``noisy=False`` — which also routes the simulation through the
-    vectorised fast path), and collects the variation statistics.
+    vectorised fast path), and collects the variation statistics.  All
+    three schemes run as one config-batched pass — one truth view, one
+    (chunk-bounded) α-solve per scheme, one 2-D simulation.
 
-    ``batch`` (default: the global engine's ``--batch`` setting) runs
-    all three schemes as one config-batched pass — one truth view, one
-    2-D simulation — instead of three sequential runs; results are
-    bit-identical either way.
-
-    ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`
-    (batched path only): ``"auto"`` tiles the (schemes, modules)
-    simulation plane once the fleet outgrows the cache working-set
-    budget; a :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling;
-    ``None`` forces unsharded.  Layout only — results are bit-identical.
+    ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`:
+    ``"auto"`` tiles the (schemes, modules) simulation plane once the
+    fleet outgrows the cache working-set budget; a
+    :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling; ``None``
+    forces unsharded.  Layout only — results are bit-identical.
     """
-    if batch is None:
-        batch = get_engine().batch
     t0 = perf_counter()
     with telemetry.run_scope(
         f"fleet-{n_modules}", f"fleet {app} n={n_modules:,} Cm={cm_w:.0f}W"
@@ -153,51 +143,19 @@ def run_fleet_point(
         system = build_system("ha8k", n_modules=n_modules, seed=seed)
         model = get_app(app)
 
-        if batch:
-            # One vectorised pass over all schemes: planning is still one
-            # (chunk-bounded) α-solve per scheme, but actuation feeds a
-            # single (n_schemes, n_modules) simulation.
-            outs = run_budgeted_batched(
-                system,
-                model,
-                [(r.scheme, r.budgets_w[0]) for r in requests],
-                n_iters=n_iters,
-                noisy=False,
-                chunk_modules=chunk_modules,
-                shard=shard,
-            )
-            for out in outs:
-                if isinstance(out, Exception):
-                    raise out
-            runs = dict(zip(FLEET_SCHEMES, outs))
-        else:
-            # Plan first, actuate second — both through the array-first
-            # interfaces: each scheme's PowerAllocation is one vectorised
-            # (chunk-bounded) pass over the fleet columns, then
-            # run_budgeted consumes it without re-planning.
-            plans = {
-                scheme: get_scheme(scheme).allocate(
-                    system,
-                    model,
-                    budget_w,
-                    noisy=False,
-                    chunk_modules=chunk_modules,
-                )
-                for scheme in FLEET_SCHEMES
-            }
-            runs = {
-                scheme: run_budgeted(
-                    system,
-                    model,
-                    scheme,
-                    budget_w,
-                    n_iters=n_iters,
-                    noisy=False,
-                    chunk_modules=chunk_modules,
-                    allocation=plans[scheme],
-                )
-                for scheme in FLEET_SCHEMES
-            }
+        outs = run_budgeted_batched(
+            system,
+            model,
+            [(r.scheme, r.budgets_w[0]) for r in requests],
+            n_iters=n_iters,
+            noisy=False,
+            chunk_modules=chunk_modules,
+            shard=shard,
+        )
+        for out in outs:
+            if isinstance(out, Exception):
+                raise out
+        runs = dict(zip(FLEET_SCHEMES, outs))
         naive = runs["naive"]
         # Uncapped fleet draw at fmax — the headroom the budget cuts
         # into — accumulated chunk-wise so no fleet-sized temporary is
@@ -240,7 +198,6 @@ def run_fleet(
     n_iters: int = FLEET_ITERS,
     seed: int = DEFAULT_SEED,
     chunk_modules: int = FLEET_CHUNK,
-    batch: bool | None = None,
 ) -> list[FleetPoint]:
     """The full size sweep (one :class:`FleetPoint` per entry)."""
     return [
@@ -251,7 +208,6 @@ def run_fleet(
             n_iters=n_iters,
             seed=seed,
             chunk_modules=chunk_modules,
-            batch=batch,
         )
         for n in sizes
     ]

@@ -99,11 +99,7 @@ def run_throughput(
     engine = engine if engine is not None else get_engine()
     # Worker fan-out ships the base fleet once via shared memory instead
     # of rebuilding 1,920 modules of variation in every worker.
-    handle = (
-        export_fleet(ha8k(1920))
-        if engine.jobs > 1 and engine.batch
-        else None
-    )
+    handle = export_fleet(ha8k(1920)) if engine.jobs > 1 else None
     tasks = [
         (n_modules, n_jobs, ia, cm_w, admission, handle)
         for ia in interarrivals

@@ -482,7 +482,7 @@ class AllocationResult:
 class SweepRequest:
     """Run the apps × schemes × budgets cross product as cached engine
     runs (full simulation, digest-addressed).  Results are bit-identical
-    to :meth:`repro.exec.ExperimentEngine.submit_batched_sweep` over the
+    to :meth:`repro.exec.ExperimentEngine.submit_sweep` over the
     same :class:`~repro.exec.cache.RunKey` set — the service *is* that
     call."""
 

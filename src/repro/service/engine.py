@@ -20,8 +20,8 @@ tables, the three request families cost very different amounts:
     sustains thousands of queries/sec against a 100k-module fleet.
 
 ``sweep``
-    Full simulation through :meth:`ExperimentEngine.submit_batched_sweep
-    <repro.exec.engine.ExperimentEngine.submit_batched_sweep>` over
+    Full simulation through :meth:`ExperimentEngine.submit_sweep
+    <repro.exec.engine.ExperimentEngine.submit_sweep>` over
     :class:`~repro.exec.cache.RunKey` rows — digest-addressed and
     therefore bit-identical to direct engine use (the digest-proof test
     compares payload digests, not floats).
@@ -387,7 +387,7 @@ class AllocationService:
             for budget in req.budgets_w
         ]
         try:
-            results = self._engine.submit_batched_sweep(
+            results = self._engine.submit_sweep(
                 keys, skip_infeasible=True
             )
         except BrokenProcessPool:

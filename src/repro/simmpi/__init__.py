@@ -6,9 +6,10 @@ compute speed follows module frequency, and synchronising communication
 delay while accumulating wait time on the fast ranks.  This subpackage
 simulates exactly that:
 
-* :mod:`repro.simmpi.machine` — :class:`BspMachine`, a per-rank virtual
-  clock with ``compute`` / ``barrier`` / ``allreduce`` / ``sendrecv``
-  operations, all vectorised over ranks.
+* :mod:`repro.simmpi.machine` — :class:`BatchedBspMachine`, per-rank
+  virtual clocks for a stack of configurations with ``advance_local`` /
+  ``barrier`` / ``allreduce`` / ``sendrecv`` operations, all vectorised
+  over configs and ranks (a single run is a one-row machine).
 * :mod:`repro.simmpi.tracing` — :class:`RankTrace`, the per-rank timing
   record (total, compute, and MPI wait time, the quantity plotted in
   Fig 3 and Fig 8(ii)).
@@ -44,12 +45,11 @@ from repro.simmpi.fastpath import (
     run_fast,
     simulate_app,
 )
-from repro.simmpi.machine import BspMachine, MachineState
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
-    "BspMachine",
-    "MachineState",
+    "BatchedBspMachine",
     "RankTrace",
     "EventDrivenMachine",
     "Compute",

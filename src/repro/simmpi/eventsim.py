@@ -1,8 +1,8 @@
 """Event-driven MPI program simulator (the general-purpose path).
 
-:class:`~repro.simmpi.machine.BspMachine` is the vectorised fast path
-for bulk-synchronous codes — every rank executes the same superstep
-structure, so per-superstep array operations suffice.  This module is
+:class:`~repro.simmpi.machine.BatchedBspMachine` is the vectorised
+fast path for bulk-synchronous codes — every rank executes the same
+superstep structure, so per-superstep array operations suffice.  This module is
 the general path: each rank runs its *own* program (a generator yielding
 operations), with genuine point-to-point message matching, blocking
 receives, and deadlock detection.  It exists for three reasons:
@@ -113,7 +113,8 @@ class _RankState:
 class EventDrivenMachine:
     """Runs one generator program per rank with message matching.
 
-    Parameters mirror :class:`~repro.simmpi.BspMachine`.
+    ``rates`` is one per-rank vector; ``latency_s`` and
+    ``bandwidth_gbps`` mirror :class:`~repro.simmpi.BatchedBspMachine`.
     """
 
     def __init__(

@@ -10,14 +10,16 @@ superstep suffices.  This module provides that fast path:
 * a tiny vector-op IR (:class:`VCompute`, :class:`VElapse`,
   :class:`VBarrier`, :class:`VAllreduce`, :class:`VSendrecv`,
   :class:`VLoop`) wrapped in a :class:`BspProgram`;
-* :func:`run_fast` — executes a program on a
-  :class:`~repro.simmpi.machine.BspMachine` with two whole-fleet
-  shortcuts: communication-free op runs are fused into a single
-  vectorised advance, and iterated supersteps are *fast-forwarded* once
-  their per-iteration state increments become stationary (after a
-  barrier/allreduce all clocks coincide, so iteration k+1 repeats
-  iteration k exactly; a halo exchange reaches the same steady state
-  once the slowest module's wavefront has propagated around the torus);
+* :func:`run_fast_batched` — executes a program for a stack of rate
+  configurations on a :class:`~repro.simmpi.machine.BatchedBspMachine`
+  with two whole-fleet shortcuts: communication-free op runs are fused
+  into a single vectorised advance, and iterated supersteps are
+  *fast-forwarded* per config once their per-iteration state increments
+  become stationary (after a barrier/allreduce all clocks coincide, so
+  iteration k+1 repeats iteration k exactly; a halo exchange reaches the
+  same steady state once the slowest module's wavefront has propagated
+  around the torus).  :func:`run_fast` is the one-row case, and
+  :func:`run_fast_sharded` the same execution tiled over columns;
 * :func:`run_event` / :func:`to_event_program` — lowers the same program
   to per-rank generators on the :class:`EventDrivenMachine`, the
   independent reference the differential suite
@@ -64,7 +66,7 @@ from repro.simmpi.eventsim import (
     Recv,
     Send,
 )
-from repro.simmpi.machine import BatchedBspMachine, BspMachine, MachineState
+from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.sharding import SHARD_MODES, ShardPlan, ShardSpec, plan_shards
 from repro.simmpi.tracing import RankTrace
 
@@ -98,7 +100,7 @@ _MIN_FF_REMAINING = 3
 
 #: Consecutive identical per-iteration increments required before the
 #: loop is declared stationary.  One uniform-shift observation is
-#: already sufficient mathematically (see :func:`_exec_loop`); the
+#: already sufficient mathematically (see :func:`_exec_loop_batched`); the
 #: second is a guard against accumulated rounding noise.
 _FF_STABLE_ITERS = 2
 
@@ -216,118 +218,6 @@ def _has_sync(ops: Sequence[_VOp]) -> bool:
     )
 
 
-def _local_dt(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
-    """Combined per-rank seconds of a communication-free op sequence."""
-    n = rates.shape[0]
-    dt = np.zeros(n)
-    for op in ops:
-        if isinstance(op, VCompute):
-            dt += np.broadcast_to(
-                np.asarray(op.ghz_seconds, dtype=float), (n,)
-            ) / rates
-        elif isinstance(op, VElapse):
-            dt += np.broadcast_to(np.asarray(op.seconds, dtype=float), (n,))
-        elif isinstance(op, VLoop):
-            dt += op.iters * _local_dt(op.body, rates)
-        else:  # pragma: no cover - guarded by _has_sync
-            raise SimulationError(f"{op!r} is not a local op")
-    return dt
-
-
-def _exec_ops(machine: BspMachine, ops: Sequence[_VOp]) -> None:
-    """Execute an op sequence, fusing communication-free runs."""
-    i, n_ops = 0, len(ops)
-    while i < n_ops:
-        op = ops[i]
-        # Fuse a maximal run of sync-free ops into one fleet-wide advance.
-        if isinstance(op, _LOCAL_OPS) or (
-            isinstance(op, VLoop) and not _has_sync(op.body)
-        ):
-            j = i
-            while j < n_ops and (
-                isinstance(ops[j], _LOCAL_OPS)
-                or (isinstance(ops[j], VLoop) and not _has_sync(ops[j].body))
-            ):
-                j += 1
-            machine.advance_local(_local_dt(ops[i:j], machine.rates))
-            i = j
-            continue
-        if isinstance(op, VBarrier):
-            machine.barrier()
-        elif isinstance(op, VAllreduce):
-            machine.allreduce(op.message_bytes)
-        elif isinstance(op, VSendrecv):
-            machine.sendrecv(np.asarray(op.neighbors), op.message_bytes)
-        elif isinstance(op, VLoop):
-            _exec_loop(machine, op)
-        else:  # pragma: no cover - programs are validated on construction
-            raise SimulationError(f"unknown fast-path op {op!r}")
-        i += 1
-
-
-def _is_uniform_shift(clock_delta: np.ndarray) -> bool:
-    """Whether one iteration advanced every rank's clock by the same
-    amount (to rounding noise)."""
-    return bool(
-        np.allclose(clock_delta, clock_delta[0], rtol=1e-12, atol=1e-15)
-    )
-
-
-def _exec_loop(machine: BspMachine, loop: VLoop) -> None:
-    """Run a synchronising loop, fast-forwarding its steady state.
-
-    Every body op commutes with adding a constant to all clocks: compute
-    and elapse add fixed per-rank amounts, and barrier / allreduce /
-    halo-exchange are max-plus operations, so shifting the whole clock
-    vector by ``c`` shifts their result by ``c``.  Hence a *uniform*
-    per-iteration clock increment is a proof of stationarity — the next
-    iteration is the previous one translated in time, forever.  A stable
-    but **non-uniform** increment proves nothing: in a halo-exchange
-    ring the slowest module's delay wavefront moves one hop per
-    superstep, and ranks it has not yet reached advance at their own
-    (transient) pace for up to the graph diameter before snapping to the
-    global rate.  We therefore fast-forward only on a uniform, repeated
-    increment, and fall back to plain iteration otherwise.  A
-    barrier/allreduce body equalises all clocks each iteration, so its
-    increment is uniform from the second pass; a halo-exchange body gets
-    there once the wavefront has covered the graph (at most the torus
-    diameter, usually far fewer iterations because near-slowest modules
-    are dense at fleet scale).
-    """
-    remaining = loop.iters
-    # Preallocated snapshot/delta buffers reused across iterations: the
-    # steady-state detector would otherwise allocate ~8 fleet-sized
-    # arrays per superstep.  Values are identical — the buffers only
-    # change where the temporaries live.
-    n = machine.n_ranks
-    _blank = lambda: MachineState(*(np.empty(n) for _ in range(4)))  # noqa: E731
-    before, delta, prev_delta = _blank(), _blank(), _blank()
-    have_prev = False
-    stable = 0
-    while remaining > 0:
-        machine.state_into(before)
-        _exec_ops(machine, loop.body)
-        remaining -= 1
-        if remaining < _MIN_FF_REMAINING:
-            continue
-        machine.delta_into(before, delta)
-        if (
-            have_prev
-            and delta.allclose(prev_delta)
-            and _is_uniform_shift(delta.clock_s)
-        ):
-            stable += 1
-            if stable >= _FF_STABLE_ITERS:
-                machine.fast_forward(delta, remaining)
-                telemetry.count("sim.fast_forward")
-                telemetry.observe("sim.ff_saved_iters", remaining)
-                return
-        else:
-            stable = 0
-        prev_delta, delta = delta, prev_delta
-        have_prev = True
-
-
 def run_fast(
     program: BspProgram,
     rates: np.ndarray,
@@ -335,17 +225,16 @@ def run_fast(
     latency_s: float = 5e-6,
     bandwidth_gbps: float = 5.0,
 ) -> RankTrace:
-    """Execute a :class:`BspProgram` on the vectorised fast path."""
+    """Execute a :class:`BspProgram` for one rate vector: a one-row
+    :func:`run_fast_batched`."""
     r = np.asarray(rates, dtype=float)
     if r.shape != (program.n_ranks,):
         raise ConfigurationError(
             f"rates shape {r.shape} != program ranks ({program.n_ranks},)"
         )
-    machine = BspMachine(r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps)
-    machine.observer = telemetry.timeline("fastpath")
-    with telemetry.span("sim.run_fast", ranks=program.n_ranks):
-        _exec_ops(machine, program.ops)
-    return machine.trace()
+    return run_fast_batched(
+        program, r[None], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
+    )[0]
 
 
 # -- the config-batched executor -----------------------------------------------
@@ -353,7 +242,7 @@ def run_fast(
 
 def _local_dt_batched(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
     """Combined per-rank seconds of a communication-free op sequence,
-    for every config row at once (row-wise identical to :func:`_local_dt`)."""
+    for every config row at once."""
     n = rates.shape[1]
     dt = np.zeros(rates.shape)
     for op in ops:
@@ -371,12 +260,13 @@ def _local_dt_batched(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
 
 
 def _exec_ops_batched(machine: BatchedBspMachine, ops: Sequence[_VOp]) -> None:
-    """Execute an op sequence on the 2-D machine, fusing communication-free
-    runs exactly where :func:`_exec_ops` does (fusion boundaries depend
-    only on op types, so the two paths fuse identically)."""
+    """Execute an op sequence, fusing each maximal communication-free
+    run into one fleet-wide advance (fusion boundaries depend only on
+    op types, so every config row fuses identically)."""
     i, n_ops = 0, len(ops)
     while i < n_ops:
         op = ops[i]
+        # Fuse a maximal run of sync-free ops into one fleet-wide advance.
         if isinstance(op, _LOCAL_OPS) or (
             isinstance(op, VLoop) and not _has_sync(op.body)
         ):
@@ -403,8 +293,8 @@ def _exec_ops_batched(machine: BatchedBspMachine, ops: Sequence[_VOp]) -> None:
 
 
 def _rows_close(delta: tuple, prev: tuple, scratch: tuple) -> np.ndarray:
-    """Per-row equivalent of :meth:`MachineState.allclose`: True where a
-    row's four increments all match the previous iteration's.
+    """True where a row's four per-iteration increments all match the
+    previous iteration's (``np.allclose`` at rtol 1e-12, atol 1e-15).
 
     Evaluates ``np.isclose``'s finite-operand predicate
     ``|d - p| <= atol + rtol * |p|`` directly into the two caller-owned
@@ -424,9 +314,10 @@ def _rows_close(delta: tuple, prev: tuple, scratch: tuple) -> np.ndarray:
 
 
 def _rows_uniform(clock_delta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Per-row equivalent of :func:`_is_uniform_shift` (same
-    allocation-free ``isclose`` predicate as :func:`_rows_close`;
-    the reference column's tolerance is a ``(rows, 1)`` broadcast)."""
+    """True where one iteration advanced every rank of a row by the
+    same clock increment, to rounding noise (same allocation-free
+    ``isclose`` predicate as :func:`_rows_close`; the reference column's
+    tolerance is a ``(rows, 1)`` broadcast)."""
     ref = clock_delta[:, :1]
     np.subtract(clock_delta, ref, out=scratch)
     np.abs(scratch, out=scratch)
@@ -435,13 +326,40 @@ def _rows_uniform(clock_delta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return (scratch <= tol).all(axis=1)
 
 
+def _record_fast_forward(n_rows: int, remaining: int) -> None:
+    """Count ``n_rows`` configs retiring together with ``remaining``
+    iterations skipped each: one histogram sample per row, so the
+    ``sim.ff_saved_iters`` total is the iterations saved."""
+    telemetry.count("sim.fast_forward", n_rows)
+    for _ in range(n_rows):
+        telemetry.observe("sim.ff_saved_iters", remaining)
+
+
 def _exec_loop_batched(machine: BatchedBspMachine, loop: VLoop) -> None:
     """Run a synchronising loop for all configs, fast-forwarding each
     config's steady state *independently*.
 
-    The timing invariant that makes this bit-identical to per-config
-    :func:`_exec_loop`: a config must be fast-forwarded at exactly the
-    iteration its 1-D run would be, because ``c + k·d`` and
+    Every body op commutes with adding a constant to all clocks: compute
+    and elapse add fixed per-rank amounts, and barrier / allreduce /
+    halo-exchange are max-plus operations, so shifting a row's whole
+    clock vector by ``c`` shifts their result by ``c``.  Hence a
+    *uniform* per-iteration clock increment is a proof of stationarity —
+    the next iteration is the previous one translated in time, forever.
+    A stable but **non-uniform** increment proves nothing: in a
+    halo-exchange ring the slowest module's delay wavefront moves one hop
+    per superstep, and ranks it has not yet reached advance at their own
+    (transient) pace for up to the graph diameter before snapping to the
+    global rate.  A row is therefore fast-forwarded only on a uniform,
+    repeated increment, and keeps iterating otherwise.  A
+    barrier/allreduce body equalises all clocks each iteration, so its
+    increment is uniform from the second pass; a halo-exchange body gets
+    there once the wavefront has covered the graph (at most the torus
+    diameter, usually far fewer iterations because near-slowest modules
+    are dense at fleet scale).
+
+    The timing invariant that makes a row's result independent of the
+    batch it runs in: a config must be fast-forwarded at exactly the
+    iteration it would be alone, because ``c + k·d`` and
     ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
     ``(prev, stable)`` detector state therefore survives the active-set
     shrink — retired configs leave the batch, the rest carry their
@@ -478,8 +396,7 @@ def _exec_loop_batched(machine: BatchedBspMachine, loop: VLoop) -> None:
         retire = stable >= _FF_STABLE_ITERS
         if np.any(retire):
             sub.fast_forward_rows(retire, delta, remaining)
-            telemetry.count("sim.fast_forward", int(retire.sum()))
-            telemetry.observe("sim.ff_saved_iters", remaining)
+            _record_fast_forward(int(retire.sum()), remaining)
             if sub is not parent:
                 parent.write_rows(rows[retire], sub, retire)
             keep = ~retire
@@ -888,8 +805,7 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
                 )
 
             ex.foreach(ff_visit)
-            telemetry.count("sim.fast_forward", int(retire.sum()))
-            telemetry.observe("sim.ff_saved_iters", remaining)
+            _record_fast_forward(int(retire.sum()), remaining)
             if ex.machine is not parent:
                 parent.write_rows(rows[retire], ex.machine, retire)
             keep = ~retire
@@ -1081,6 +997,8 @@ def run_fast_batched(
     ``rates`` has shape ``(n_configs, n_ranks)``; the result is one
     :class:`RankTrace` per config, bit-identical to ``n_configs``
     separate :func:`run_fast` calls at the corresponding rate rows.
+    With telemetry on, an unsharded one-row call (a single run) records
+    a ``"fastpath"`` phase timeline.
 
     ``shard`` selects the execution layout — never the results:
     ``None`` runs the whole plane unsharded, ``"auto"`` (or a
@@ -1107,6 +1025,9 @@ def run_fast_batched(
     machine = BatchedBspMachine(
         r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
     )
+    if r.shape[0] == 1:
+        # A one-row batch is a single run: record its phase timeline.
+        machine.observer = telemetry.timeline("fastpath")
     with telemetry.span(
         "sim.run_fast_batched", configs=int(r.shape[0]), ranks=program.n_ranks
     ):
@@ -1303,9 +1224,9 @@ def simulate_app(
     """Simulate an application, automatically picking the fastest exact path.
 
     BSP-expressible communication runs as whole-fleet array operations
-    (:func:`run_fast`); anything else falls back to the event-driven
-    machine.  This is the entry point :mod:`repro.core.runner` uses for
-    every managed (deterministic) execution.
+    (:func:`run_fast`, a one-row batch); anything else falls back to the
+    event-driven machine.  :mod:`repro.core.runner` uses it for uncapped
+    reference runs and :func:`simulate_app_batched` for budgeted ones.
     """
     rates = np.asarray(rates_ghz, dtype=float)
     iters = int(app.default_iters if n_iters is None else n_iters)
@@ -1354,7 +1275,7 @@ def simulate_app_batched(
 
     ``shard`` is forwarded to :func:`run_fast_batched` (execution
     layout only — results are bit-identical either way); the per-config
-    fallback ignores it, as 1-D runs have nothing to tile.
+    fallback ignores it, as the event-driven machine has nothing to tile.
     """
     rates = np.asarray(rates_ghz, dtype=float)
     if rates.ndim != 2:

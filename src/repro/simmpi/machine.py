@@ -1,12 +1,15 @@
 """The vectorised bulk-synchronous machine.
 
-:class:`BspMachine` maintains one virtual clock per MPI rank.  Compute
-operations advance each clock by that rank's own compute time (work
-divided by the rank's work rate); communication operations synchronise
-clocks (globally or with topological neighbours) and charge the idle gap
-to the rank's MPI wait time.  This is exact for bulk-synchronous codes —
-which every benchmark in the paper is — and costs O(ranks) per
-superstep, so 1,920-rank × hundreds-of-iterations runs are milliseconds.
+:class:`BatchedBspMachine` maintains one virtual clock per MPI rank for
+each of a stack of independent configurations (rows).  Local operations
+advance each clock by that rank's own precomputed local time (work
+divided by the rank's work rate, plus frequency-insensitive time);
+communication operations synchronise clocks (globally or with
+topological neighbours) and charge the idle gap to the rank's MPI wait
+time.  This is exact for bulk-synchronous codes — which every benchmark
+in the paper is — and costs O(configs × ranks) per superstep, so
+1,920-rank × hundreds-of-iterations runs are milliseconds.  A single
+run is a one-row machine.
 
 Semantics of a halo exchange (``sendrecv``): rank *r* may leave the
 exchange of superstep *k* once it **and all its neighbours** have
@@ -18,307 +21,36 @@ even though each rank only talks to its neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.simmpi.tracing import RankTrace
 
-__all__ = ["BspMachine", "BatchedBspMachine", "MachineState"]
+__all__ = ["BatchedBspMachine"]
 
 
-@dataclass(frozen=True)
-class MachineState:
-    """Snapshot of a :class:`BspMachine`'s four per-rank accumulators.
+class BatchedBspMachine:
+    """Per-rank virtual clocks for a stack of independent configurations.
 
-    The vectorised fast path (:mod:`repro.simmpi.fastpath`) uses state
-    deltas to detect when an iterated superstep has reached its steady
-    state — once the per-iteration increment of every accumulator is
-    constant, the remaining iterations can be fast-forwarded as one
-    whole-fleet array operation.
-    """
-
-    clock_s: np.ndarray
-    compute_s: np.ndarray
-    wait_s: np.ndarray
-    comm_s: np.ndarray
-
-    def delta_from(self, earlier: "MachineState") -> "MachineState":
-        """Per-rank increments accumulated since ``earlier``."""
-        return MachineState(
-            clock_s=self.clock_s - earlier.clock_s,
-            compute_s=self.compute_s - earlier.compute_s,
-            wait_s=self.wait_s - earlier.wait_s,
-            comm_s=self.comm_s - earlier.comm_s,
-        )
-
-    def allclose(
-        self, other: "MachineState", *, rtol: float = 1e-12, atol: float = 1e-15
-    ) -> bool:
-        """Whether two states (usually deltas) agree to rounding noise."""
-        return all(
-            np.allclose(getattr(self, f), getattr(other, f), rtol=rtol, atol=atol)
-            for f in ("clock_s", "compute_s", "wait_s", "comm_s")
-        )
-
-
-class BspMachine:
-    """Per-rank virtual clocks with synchronising communication.
+    State arrays have shape ``(n_configs, n_ranks)``.  Every operation is
+    row-independent — config rows never interact — and elementwise (or,
+    for the maxima, exact operand selection), so row *c*'s results are
+    exactly those of a one-row machine built from ``rates[c]``.  Sweeps
+    exploit this: one batched pass over all budgets replaces
+    ``n_configs`` Python-level fleet traversals.
 
     Parameters
     ----------
     rates:
-        Work rate of each rank in GHz-equivalents (effective frequency ×
-        performance bin factor of the module hosting the rank).
+        ``(n_configs, n_ranks)`` work rates in GHz-equivalents (effective
+        frequency × performance bin factor of the module hosting the
+        rank).  The machine only checks them; callers divide work by
+        them and pass the result to :meth:`advance_local`.
     latency_s:
         Base cost of one communication operation (software + network
         latency), paid by every participant.
     bandwidth_gbps:
         Link bandwidth used to convert message bytes into transfer time.
-    noise_frac:
-        Mean relative operating-system noise added to every compute
-        phase (one-sided exponential — interruptions only ever slow a
-        rank down).  0 models the paper's "no per-run noise" idealised
-        ranks; a few tenths of a percent reproduces the residual
-        synchronisation spread of uncapped runs (Fig 3, Cm = No).
-    noise_rng:
-        Generator for the noise draws; required when ``noise_frac`` > 0.
-    """
-
-    def __init__(
-        self,
-        rates: np.ndarray,
-        *,
-        latency_s: float = 5e-6,
-        bandwidth_gbps: float = 5.0,
-        noise_frac: float = 0.0,
-        noise_rng: np.random.Generator | None = None,
-    ):
-        r = np.asarray(rates, dtype=float)
-        if r.ndim != 1 or r.size == 0:
-            raise SimulationError("rates must be a non-empty 1-D array")
-        if np.any(~np.isfinite(r)) or np.any(r <= 0):
-            raise SimulationError("rates must be finite and positive")
-        if latency_s < 0 or bandwidth_gbps <= 0:
-            raise SimulationError("latency must be >= 0 and bandwidth > 0")
-        if noise_frac < 0:
-            raise SimulationError("noise_frac must be non-negative")
-        if noise_frac > 0 and noise_rng is None:
-            raise SimulationError("noise_frac > 0 requires a noise_rng")
-        self._noise_frac = float(noise_frac)
-        self._noise_rng = noise_rng
-        self.rates = r
-        self.latency_s = float(latency_s)
-        self.bandwidth_gbps = float(bandwidth_gbps)
-        self.clock_s = np.zeros(r.size)
-        self._compute_s = np.zeros(r.size)
-        self._wait_s = np.zeros(r.size)
-        self._comm_s = np.zeros(r.size)
-        # Preallocated scratch reused across supersteps.  At fleet scale
-        # (100k+ ranks) per-op temporaries exceed the allocator's mmap
-        # threshold, so allocating them per superstep costs a
-        # mmap/munmap + page-fault cycle each — reuse keeps the arrays
-        # resident and the throughput trajectory flat in fleet size.
-        # All updates stay elementwise identical: ``a += b`` and
-        # ``np.op(..., out=...)`` perform the same IEEE-754 operations
-        # as their allocating forms.
-        self._dt_scratch = np.empty(r.size)
-        self._ready_scratch = np.empty(r.size)
-        self._wait_scratch = np.empty(r.size)
-        self._gather_scratch: dict[int, np.ndarray] = {}
-        #: Optional sync observer (duck-typed: ``on_sync(op, clock_s,
-        #: wait_s)``), e.g. a telemetry PhaseTimeline.  ``None`` keeps
-        #: the sync path free of any telemetry cost.
-        self.observer = None
-
-    @property
-    def n_ranks(self) -> int:
-        """Number of ranks on the machine."""
-        return int(self.rates.size)
-
-    def set_rates(self, rates: np.ndarray) -> None:
-        """Change per-rank work rates mid-run (a DVFS transition at a
-        phase boundary; takes effect for subsequent compute calls)."""
-        r = np.asarray(rates, dtype=float)
-        if r.shape != self.rates.shape:
-            raise SimulationError(
-                f"rates shape {r.shape} != machine shape {self.rates.shape}"
-            )
-        if np.any(~np.isfinite(r)) or np.any(r <= 0):
-            raise SimulationError("rates must be finite and positive")
-        self.rates = r
-
-    def _transfer_cost(self, message_bytes: float) -> float:
-        return self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
-
-    # -- operations ------------------------------------------------------------
-
-    def compute(self, ghz_seconds: np.ndarray | float) -> None:
-        """Advance each rank by a compute phase.
-
-        ``ghz_seconds`` is the work per rank expressed in GHz·seconds —
-        the time the phase takes on a 1 GHz-equivalent module.  A scalar
-        means perfectly balanced work.
-        """
-        work = np.broadcast_to(np.asarray(ghz_seconds, dtype=float), (self.n_ranks,))
-        if np.any(work < 0):
-            raise SimulationError("compute work must be non-negative")
-        dt = np.divide(work, self.rates, out=self._dt_scratch)
-        if self._noise_frac > 0.0:
-            dt = dt * (1.0 + self._noise_frac * self._noise_rng.exponential(size=self.n_ranks))
-        self.clock_s += dt
-        self._compute_s += dt
-
-    def elapse(self, seconds: np.ndarray | float) -> None:
-        """Advance each rank by frequency-*insensitive* time (memory stalls,
-        I/O): the (1 − κ) part of a partially CPU-bound phase."""
-        dt = np.broadcast_to(np.asarray(seconds, dtype=float), (self.n_ranks,))
-        if np.any(dt < 0):
-            raise SimulationError("elapsed time must be non-negative")
-        self.clock_s += dt
-        self._compute_s += dt
-
-    def advance_local(self, dt_seconds: np.ndarray | float) -> None:
-        """Advance each rank by precomputed local time (fast-path entry).
-
-        Semantically a fused ``compute`` + ``elapse``: ``dt_seconds`` is
-        the per-rank local time of one or more communication-free
-        phases, already divided by the rank rates.  Accounted as compute
-        time, like both constituents.
-        """
-        dt = np.broadcast_to(np.asarray(dt_seconds, dtype=float), (self.n_ranks,))
-        if np.any(dt < 0):
-            raise SimulationError("local time must be non-negative")
-        self.clock_s += dt
-        self._compute_s += dt
-
-    # -- fast-path state access ------------------------------------------------
-
-    def state(self) -> MachineState:
-        """Copy of the four per-rank accumulators (fast-path snapshots)."""
-        return MachineState(
-            clock_s=self.clock_s.copy(),
-            compute_s=self._compute_s.copy(),
-            wait_s=self._wait_s.copy(),
-            comm_s=self._comm_s.copy(),
-        )
-
-    def state_into(self, out: MachineState) -> None:
-        """Snapshot the accumulators into a caller-preallocated state
-        (the fast path reuses two such buffers per loop instead of
-        allocating four fleet-sized arrays per iteration)."""
-        np.copyto(out.clock_s, self.clock_s)
-        np.copyto(out.compute_s, self._compute_s)
-        np.copyto(out.wait_s, self._wait_s)
-        np.copyto(out.comm_s, self._comm_s)
-
-    def delta_into(self, earlier: MachineState, out: MachineState) -> None:
-        """Per-rank increments since ``earlier``, written into ``out``
-        (same subtraction :meth:`MachineState.delta_from` performs)."""
-        np.subtract(self.clock_s, earlier.clock_s, out=out.clock_s)
-        np.subtract(self._compute_s, earlier.compute_s, out=out.compute_s)
-        np.subtract(self._wait_s, earlier.wait_s, out=out.wait_s)
-        np.subtract(self._comm_s, earlier.comm_s, out=out.comm_s)
-
-    def fast_forward(self, delta: MachineState, repeats: int) -> None:
-        """Apply ``repeats`` copies of a per-iteration state increment.
-
-        The whole-fleet shortcut behind the vectorised fast path: once
-        an iterated superstep's increments are stationary (every rank
-        gains the same clock/compute/wait/comm per iteration), the
-        remaining iterations collapse to one multiply-add per array.
-        """
-        if repeats < 0:
-            raise SimulationError("repeats must be non-negative")
-        if repeats == 0:
-            return
-        self.clock_s += np.multiply(delta.clock_s, repeats, out=self._dt_scratch)
-        self._compute_s += np.multiply(delta.compute_s, repeats, out=self._dt_scratch)
-        self._wait_s += np.multiply(delta.wait_s, repeats, out=self._dt_scratch)
-        self._comm_s += np.multiply(delta.comm_s, repeats, out=self._dt_scratch)
-
-    def barrier(self) -> None:
-        """Global synchronisation: everyone waits for the slowest rank."""
-        self._ready_scratch.fill(self.clock_s.max())
-        self._sync_to(self._ready_scratch, 0.0, "barrier")
-
-    def allreduce(self, message_bytes: float = 8.0) -> None:
-        """Synchronising reduction: barrier semantics plus tree cost.
-
-        Cost model: a reduce-then-broadcast binary tree — ⌈log₂ P⌉
-        latency hops each way plus two payload traversals.
-        """
-        hops = max(1, int(np.ceil(np.log2(max(self.n_ranks, 2)))))
-        cost = 2 * (
-            hops * self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
-        )
-        self._ready_scratch.fill(self.clock_s.max())
-        self._sync_to(self._ready_scratch, cost, "allreduce")
-
-    def sendrecv(self, neighbors: np.ndarray, message_bytes: float = 0.0) -> None:
-        """Halo exchange: each rank waits for its neighbours.
-
-        ``neighbors`` has shape ``(n_ranks, k)``; entry ``[r, j]`` is the
-        j-th partner of rank r.  The exchange completes for rank r when r
-        and all partners have entered it.  ``message_bytes`` is the halo
-        size *per neighbour*; each rank pays one latency plus k
-        transfers.
-        """
-        nb = np.asarray(neighbors)
-        if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
-            raise SimulationError(
-                f"neighbors must have shape (n_ranks, k); got {nb.shape}"
-            )
-        if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
-            raise SimulationError("neighbor indices out of range")
-        k = int(nb.shape[1])
-        gather = self._gather_scratch.get(k)
-        if gather is None:
-            gather = self._gather_scratch[k] = np.empty(nb.shape)
-        np.take(self.clock_s, nb, out=gather)
-        ready = np.max(gather, axis=1, out=self._ready_scratch)
-        np.maximum(self.clock_s, ready, out=ready)
-        self._sync_to(
-            ready, self._transfer_cost(message_bytes * nb.shape[1]), "sendrecv"
-        )
-
-    def _sync_to(
-        self, ready_s: np.ndarray, transfer_cost_s: float, op: str
-    ) -> None:
-        wait = np.subtract(ready_s, self.clock_s, out=self._wait_scratch)
-        self._wait_s += wait
-        self._comm_s += transfer_cost_s
-        np.add(ready_s, transfer_cost_s, out=self.clock_s)
-        if self.observer is not None:
-            self.observer.on_sync(op, self.clock_s, wait)
-
-    # -- results ---------------------------------------------------------------
-
-    def trace(self) -> RankTrace:
-        """Snapshot the per-rank timing accumulated so far."""
-        return RankTrace(
-            total_s=self.clock_s.copy(),
-            compute_s=self._compute_s.copy(),
-            wait_s=self._wait_s.copy(),
-            comm_s=self._comm_s.copy(),
-        )
-
-
-class BatchedBspMachine:
-    """Many independent :class:`BspMachine` runs as one 2-D machine.
-
-    State arrays have shape ``(n_configs, n_ranks)``: row *c* is exactly
-    the machine a :class:`BspMachine` built from ``rates[c]`` would be.
-    Every operation is row-independent — config rows never interact — and
-    each is implemented with the same elementwise IEEE-754 operations as
-    the 1-D machine, so row *c*'s results are bit-identical to a 1-D run
-    at ``rates[c]``.  Sweeps exploit this: one batched pass over all
-    budgets replaces ``n_configs`` Python-level fleet traversals.
-
-    No noise and no observer: the batched path exists for the managed
-    (deterministic) sweeps, which never enable per-run noise, and
-    telemetry timelines are per-run by construction.
     """
 
     def __init__(
@@ -345,12 +77,22 @@ class BatchedBspMachine:
         self._compute_s = np.zeros(shape)
         self._wait_s = np.zeros(shape)
         self._comm_s = np.zeros(shape)
-        # Scratch reused across supersteps (see BspMachine.__init__).
+        # Preallocated scratch reused across supersteps.  At fleet scale
+        # (100k+ ranks) per-op temporaries exceed the allocator's mmap
+        # threshold, so allocating them per superstep costs a
+        # mmap/munmap + page-fault cycle each — reuse keeps the arrays
+        # resident.  ``a += b`` and ``np.op(..., out=...)`` perform the
+        # same IEEE-754 operations as their allocating forms.
         self._dt_scratch = np.empty(shape)
         self._ready_scratch = np.empty(shape)
         self._wait_scratch = np.empty(shape)
         self._take_scratch = np.empty(shape)
         self._rowmax_scratch = np.empty((shape[0], 1))
+        #: Optional sync observer of row 0 (duck-typed: ``on_sync(op,
+        #: clock_s, wait_s)``), e.g. a telemetry PhaseTimeline.  Only
+        #: meaningful on a one-row machine, where row 0 is the run;
+        #: ``None`` keeps the sync path free of any telemetry cost.
+        self.observer = None
 
     @property
     def n_configs(self) -> int:
@@ -408,10 +150,16 @@ class BatchedBspMachine:
         self._wait_s[rows] = sub._wait_s[sel]
         self._comm_s[rows] = sub._comm_s[sel]
 
-    # -- operations (row-wise identical to BspMachine) ---------------------------
+    # -- operations ------------------------------------------------------------
 
     def advance_local(self, dt_seconds: np.ndarray) -> None:
-        """Advance every config's ranks by precomputed local time."""
+        """Advance every config's ranks by precomputed local time.
+
+        ``dt_seconds`` is the per-rank local time of one or more
+        communication-free phases, already divided by the rank rates
+        (broadcast against ``(n_configs, n_ranks)``).  Accounted as
+        compute time.
+        """
         dt = np.broadcast_to(
             np.asarray(dt_seconds, dtype=float), self.rates.shape
         )
@@ -427,20 +175,32 @@ class BatchedBspMachine:
         return self._ready_scratch
 
     def barrier(self) -> None:
-        """Per-config global synchronisation."""
-        self._sync_to(self._row_ready(), 0.0)
+        """Per-config global synchronisation: everyone waits for the
+        slowest rank of its row."""
+        self._sync_to(self._row_ready(), 0.0, "barrier")
 
     def allreduce(self, message_bytes: float = 8.0) -> None:
-        """Per-config synchronising reduction (same closed-form cost as
-        :meth:`BspMachine.allreduce`)."""
+        """Per-config synchronising reduction: barrier semantics plus
+        tree cost.
+
+        Cost model: a reduce-then-broadcast binary tree — ⌈log₂ P⌉
+        latency hops each way plus two payload traversals.
+        """
         hops = max(1, int(np.ceil(np.log2(max(self.n_ranks, 2)))))
         cost = 2 * (
             hops * self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
         )
-        self._sync_to(self._row_ready(), cost)
+        self._sync_to(self._row_ready(), cost, "allreduce")
 
     def sendrecv(self, neighbors: np.ndarray, message_bytes: float = 0.0) -> None:
-        """Per-config halo exchange on a shared neighbour table."""
+        """Per-config halo exchange on a shared neighbour table.
+
+        ``neighbors`` has shape ``(n_ranks, k)``; entry ``[r, j]`` is the
+        j-th partner of rank r.  The exchange completes for rank r when r
+        and all partners have entered it.  ``message_bytes`` is the halo
+        size *per neighbour*; each rank pays one latency plus k
+        transfers.
+        """
         nb = np.asarray(neighbors)
         if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
             raise SimulationError(
@@ -450,8 +210,7 @@ class BatchedBspMachine:
             raise SimulationError("neighbor indices out of range")
         # Partner-at-a-time gathers into (C, R) scratch instead of one
         # (C, R, k) fancy-indexed temporary: max is exact and selects an
-        # operand, so the accumulation order cannot change the result and
-        # the row-wise outcome stays bit-identical to the 1-D machine's.
+        # operand, so the accumulation order cannot change the result.
         ready = self._ready_scratch
         np.take(self.clock_s, nb[:, 0], axis=1, out=ready)
         for j in range(1, nb.shape[1]):
@@ -461,24 +220,19 @@ class BatchedBspMachine:
         cost = self.latency_s + message_bytes * nb.shape[1] / (
             self.bandwidth_gbps * 1e9
         )
-        self._sync_to(self._ready_scratch, cost)
+        self._sync_to(self._ready_scratch, cost, "sendrecv")
 
-    def _sync_to(self, ready_s: np.ndarray, transfer_cost_s: float) -> None:
+    def _sync_to(
+        self, ready_s: np.ndarray, transfer_cost_s: float, op: str
+    ) -> None:
         wait = np.subtract(ready_s, self.clock_s, out=self._wait_scratch)
         self._wait_s += wait
         self._comm_s += transfer_cost_s
         np.add(ready_s, transfer_cost_s, out=self.clock_s)
+        if self.observer is not None:
+            self.observer.on_sync(op, self.clock_s[0], wait[0])
 
     # -- fast-path state access --------------------------------------------------
-
-    def state_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Copies of the four ``(n_configs, n_ranks)`` accumulators."""
-        return (
-            self.clock_s.copy(),
-            self._compute_s.copy(),
-            self._wait_s.copy(),
-            self._comm_s.copy(),
-        )
 
     def state_into(
         self, out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -510,8 +264,7 @@ class BatchedBspMachine:
         """Apply ``repeats`` per-iteration increments to selected rows
         (``delta`` arrays are machine-shaped; only ``rows`` are read).
 
-        Per element this is the same ``a + repeats * d`` multiply-add
-        :meth:`BspMachine.fast_forward` performs.
+        Per element this is one ``a + repeats * d`` multiply-add.
         """
         if repeats <= 0:
             return

@@ -6,7 +6,7 @@ import pytest
 from repro.apps.base import AppModel, CommSpec
 from repro.apps.registry import APPS, get_app, list_apps
 from repro.cluster.configs import build_system
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
 
 FMAX = 2.7
@@ -151,6 +151,34 @@ class TestRun:
         assert get_app("dgemm").neighbor_table(16) is None
         nb = get_app("mhd").neighbor_table(64)
         assert nb is not None and nb.shape == (64, 6)
+
+
+class TestNoise:
+    """Per-phase OS noise, drawn by the app as it steps the machine."""
+
+    RATES = np.array([2.0, 2.5, 3.0, 2.2])
+
+    def test_noise_requires_rng(self):
+        with pytest.raises(SimulationError):
+            get_app("mvmc").run(self.RATES, FMAX, n_iters=3, noise_frac=0.01)
+
+    def test_negative_noise_rejected(self):
+        with pytest.raises(SimulationError):
+            get_app("mvmc").run(
+                self.RATES, FMAX, n_iters=3, noise_frac=-0.01,
+                noise_rng=np.random.default_rng(0),
+            )
+
+    def test_noise_only_slows_compute(self):
+        app = get_app("mvmc")
+        quiet = app.run(self.RATES, FMAX, n_iters=5)
+        noisy = app.run(
+            self.RATES, FMAX, n_iters=5, noise_frac=0.05,
+            noise_rng=np.random.default_rng(3),
+        )
+        assert np.all(noisy.compute_s > quiet.compute_s)
+        assert noisy.makespan_s > quiet.makespan_s
+        assert np.array_equal(noisy.comm_s, quiet.comm_s)
 
 
 class TestSpecialize:

@@ -12,7 +12,7 @@ from repro.apps.programs import (
 from repro.cluster.topology import ring_neighbors, torus_neighbors
 from repro.errors import ConfigurationError
 from repro.simmpi.eventsim import EventDrivenMachine
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 
 
 def machine(rates):
@@ -29,11 +29,13 @@ class TestHaloExchange:
         prog = halo_exchange_program(nb, ghz_seconds=2.0, n_iters=12)
         t_ev = machine(rates).run(prog)
 
-        bsp = BspMachine(rates, latency_s=0.0, bandwidth_gbps=1e12)
+        bsp = BatchedBspMachine(
+            rates[None], latency_s=0.0, bandwidth_gbps=1e12
+        )
         for _ in range(12):
-            bsp.compute(2.0)
+            bsp.advance_local(2.0 / rates)
             bsp.sendrecv(nb)
-        t_bsp = bsp.trace()
+        t_bsp = bsp.traces()[0]
         assert np.allclose(t_ev.total_s, t_bsp.total_s)
         assert np.allclose(t_ev.wait_s, t_bsp.wait_s)
 

@@ -1,9 +1,10 @@
 """Differential proof for the config-batched sweep path.
 
-:meth:`ExperimentEngine.submit_batched_sweep` groups pending keys that
-share a system/fleet/app and executes each group as one vectorised pass
-(with ``jobs > 1``, fleets ship to workers once through shared memory).
-Everything observable must match the per-key path bit-for-bit: results,
+:meth:`ExperimentEngine.submit_sweep` groups pending keys that share a
+system/fleet/app and executes each group as one vectorised pass (with
+``jobs > 1``, fleets ship to workers once through shared memory).
+Everything observable must match running each key alone
+(:meth:`ExperimentEngine.run`, a one-config batch) bit-for-bit: results,
 cached NPZ payloads, key digests, and infeasible semantics.
 """
 
@@ -88,7 +89,7 @@ def sequential_reference():
 
 class TestBatchedBitIdentity:
     def test_batched_inprocess_equals_sequential(self, sequential_reference):
-        engine = ExperimentEngine(jobs=1, batch=True)
+        engine = ExperimentEngine(jobs=1)
         results = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
@@ -101,24 +102,29 @@ class TestBatchedBitIdentity:
     def test_batched_pool_shared_memory_equals_sequential(
         self, sequential_reference
     ):
-        engine = ExperimentEngine(jobs=4, batch=True)
+        engine = ExperimentEngine(jobs=4)
         results = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
         assert engine.stats.batched_keys == 24
 
-    def test_batch_off_restores_per_key_path(self, sequential_reference):
-        engine = ExperimentEngine(jobs=1, batch=False)
-        results = engine.submit_sweep(SWEEP)
+    def test_per_key_run_loop_equals_sweep(self, sequential_reference):
+        engine = ExperimentEngine(jobs=1)
+        results = [engine.run(k) for k in SWEEP]
         _assert_sweeps_identical(results, sequential_reference)
+        _assert_sweeps_identical(
+            ExperimentEngine(jobs=1).submit_sweep(SWEEP), results
+        )
         assert engine.stats.n_batches == 0
 
     def test_cache_payloads_bit_identical_across_paths(self, tmp_path):
         """The acceptance bar: NPZ entries a batched run writes are
         bit-identical to the sequential path's, under unchanged digests."""
         seq_dir, bat_dir = tmp_path / "seq", tmp_path / "bat"
-        ExperimentEngine(batch=False, cache_dir=seq_dir).submit_sweep(SWEEP)
-        ExperimentEngine(batch=True, cache_dir=bat_dir).submit_sweep(SWEEP)
+        seq_engine = ExperimentEngine(cache_dir=seq_dir)
+        for key in SWEEP:
+            seq_engine.run(key)
+        ExperimentEngine(cache_dir=bat_dir).submit_sweep(SWEEP)
         names = sorted(p.name for p in seq_dir.glob("*.npz"))
         assert names == sorted(p.name for p in bat_dir.glob("*.npz"))
         assert names == sorted(f"{k.digest()}.npz" for k in SWEEP)
@@ -130,7 +136,7 @@ class TestBatchedBitIdentity:
                     assert np.array_equal(a[entry], b[entry]), (name, entry)
 
     def test_warm_cache_after_batched_write(self, tmp_path, sequential_reference):
-        engine = ExperimentEngine(batch=True, cache_dir=tmp_path)
+        engine = ExperimentEngine(cache_dir=tmp_path)
         engine.submit_sweep(SWEEP)
         warm = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(warm, sequential_reference)
@@ -145,14 +151,14 @@ class TestBatchedSemantics:
             app="bt", scheme="vafs", budget_w=1.0, n_iters=N_ITERS,
         )
         with pytest.raises(InfeasibleBudgetError):
-            ExperimentEngine(batch=True).submit_sweep([SWEEP[0], bad])
+            ExperimentEngine().submit_sweep([SWEEP[0], bad])
 
     def test_skip_infeasible_yields_none_in_group(self, tmp_path):
         bad = RunKey(
             system="ha8k", n_modules=N_MODULES, seed=DEFAULT_SEED,
             app="bt", scheme="vafs", budget_w=1.0, n_iters=N_ITERS,
         )
-        engine = ExperimentEngine(batch=True, cache_dir=tmp_path)
+        engine = ExperimentEngine(cache_dir=tmp_path)
         results = engine.submit_sweep(SWEEP[:6] + [bad], skip_infeasible=True)
         assert all(r is not None for r in results[:6])
         assert results[6] is None
@@ -178,7 +184,7 @@ class TestBatchedSemantics:
         assert _group_signature(SWEEP[0]) != _group_signature(other_fleet)
 
     def test_amortized_stats_sum_to_group_wall(self):
-        engine = ExperimentEngine(batch=True)
+        engine = ExperimentEngine()
         engine.submit_sweep(SWEEP[:12])
         assert engine.stats.n_batches == 1
         batch = engine.stats.batches[0]

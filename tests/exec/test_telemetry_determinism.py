@@ -88,11 +88,12 @@ class TestTelemetryIsPureObservation:
         c = telemetry.disable()
 
         names = {s.name for s in c.spans}
-        assert {"engine.execute", "run.budgeted", "run.plan", "run.actuate",
-                "run.simulate", "scheme.allocate", "scheme.build_pmt",
-                "solve_alpha", "sim.run_fast"} <= names
-        assert c.metrics.counter("run.budgeted").value == 1
-        assert c.metrics.counter("sim.route.fast").value == 1
+        assert {"engine.execute", "run.budgeted_batched", "run.plan",
+                "run.actuate", "run.simulate_batched",
+                "scheme.allocate_batched", "scheme.build_pmt",
+                "solve_alpha_batched", "sim.run_fast_batched"} <= names
+        assert c.metrics.counter("run.budgeted_batched").value == 1
+        assert c.metrics.counter("sim.route.fast_batched").value == 1
         assert c.metrics.counter("engine.exec").value == 1
         # One fast-path timeline, and the runner's per-module capture.
         assert [t.kind for t in c.timelines] == ["fastpath"]

@@ -75,7 +75,6 @@ class TestShardedGoldenAgreement:
         land on the same published numbers as the unsharded path."""
         p = run_fleet_point(
             4096,
-            batch=True,
             shard=ShardSpec(shard_ranks=257, shard_workers=2),
         )
         g = GOLDEN_FLEET_4096
@@ -103,7 +102,6 @@ class TestProcShardedGoldenAgreement:
         workers = int(os.environ.get("REPRO_PROCSHARD_SMOKE_WORKERS", "2"))
         p = run_fleet_point(
             4096,
-            batch=True,
             shard=ShardSpec(
                 shard_ranks=257, shard_workers=workers, mode="processes"
             ),
@@ -139,7 +137,6 @@ class TestProcShardSmokeMillion:
         t0 = time.perf_counter()
         p = run_fleet_point(
             MILLION,
-            batch=True,
             shard=ShardSpec(shard_workers=2, mode="processes"),
         )
         wall = time.perf_counter() - t0

@@ -13,7 +13,7 @@ from repro.simmpi.eventsim import (
     Recv,
     Send,
 )
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 
 
 def machine(rates, **kw):
@@ -184,16 +184,18 @@ class TestCollectives:
     def test_allreduce_tree_cost_matches_bsp(self):
         rates = np.ones(8)
         ev = machine(rates, latency_s=1e-3, bandwidth_gbps=1.0)
-        bsp = BspMachine(rates, latency_s=1e-3, bandwidth_gbps=1.0)
+        bsp = BatchedBspMachine(
+            rates[None], latency_s=1e-3, bandwidth_gbps=1.0
+        )
 
         def prog(rank):
             yield Compute(1.0)
             yield Allreduce(message_bytes=1e6)
 
-        bsp.compute(1.0)
+        bsp.advance_local(1.0 / rates)
         bsp.allreduce(message_bytes=1e6)
         t = ev.run(prog)
-        assert np.allclose(t.total_s, bsp.trace().total_s)
+        assert np.allclose(t.total_s, bsp.traces()[0].total_s)
 
     def test_repeated_barriers(self):
         m = machine([1.0, 2.0])
@@ -219,11 +221,13 @@ class TestCrossValidationAgainstBsp:
         nb = ring_neighbors(n)
 
         # BSP path (zero transfer cost isolates the synchronisation).
-        bsp = BspMachine(rates, latency_s=0.0, bandwidth_gbps=1e12)
+        bsp = BatchedBspMachine(
+            rates[None], latency_s=0.0, bandwidth_gbps=1e12
+        )
         for _ in range(iters):
-            bsp.compute(3.0)
+            bsp.advance_local(3.0 / rates)
             bsp.sendrecv(nb)
-        t_bsp = bsp.trace()
+        t_bsp = bsp.traces()[0]
 
         # Event-driven path: explicit eager sends then receives.
         ev = machine(rates)
@@ -244,13 +248,15 @@ class TestCrossValidationAgainstBsp:
 
     def test_no_sync_paths_agree(self):
         rates = np.array([1.0, 1.7, 2.3])
-        bsp = BspMachine(rates, latency_s=0.0, bandwidth_gbps=1e12)
+        bsp = BatchedBspMachine(
+            rates[None], latency_s=0.0, bandwidth_gbps=1e12
+        )
         for _ in range(4):
-            bsp.compute(2.0)
+            bsp.advance_local(2.0 / rates)
         ev = machine(rates)
 
         def prog(rank):
             for _ in range(4):
                 yield Compute(2.0)
 
-        assert np.allclose(ev.run(prog).total_s, bsp.trace().total_s)
+        assert np.allclose(ev.run(prog).total_s, bsp.traces()[0].total_s)

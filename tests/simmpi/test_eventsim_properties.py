@@ -14,7 +14,7 @@ from repro.simmpi.eventsim import (
     Recv,
     Send,
 )
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 
 # A random bulk-synchronous schedule: per-superstep (work, comm-kind).
 superstep = st.tuples(
@@ -28,17 +28,18 @@ rates_st = st.lists(
 
 
 def run_bsp(rates, schedule):
-    m = BspMachine(np.asarray(rates), latency_s=0.0, bandwidth_gbps=1e12)
+    r = np.asarray(rates, dtype=float)
+    m = BatchedBspMachine(r[None], latency_s=0.0, bandwidth_gbps=1e12)
     nb = ring_neighbors(len(rates))
     for work, kind in schedule:
-        m.compute(work)
+        m.advance_local(work / r)
         if kind == "barrier":
             m.barrier()
         elif kind == "allreduce":
             m.allreduce(0.0)
         elif kind == "halo":
             m.sendrecv(nb, 0.0)
-    return m.trace()
+    return m.traces()[0]
 
 
 def run_event(rates, schedule):

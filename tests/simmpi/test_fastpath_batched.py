@@ -1,13 +1,13 @@
-"""Differential proof: the 2-D config-batched executor vs per-config 1-D.
+"""Differential proof: a config batch vs each config run alone.
 
 :func:`~repro.simmpi.fastpath.run_fast_batched` executes one
 :class:`BspProgram` for many rate vectors at once on a
 ``(n_configs, n_ranks)`` machine.  The contract is *bit-identity* with
-running each config through :func:`run_fast` separately: the batched
-machine performs the same elementwise IEEE-754 operations per row —
+running each config through :func:`run_fast` (a one-row batch)
+separately: every row sees the same elementwise IEEE-754 operations —
 including the sync-free fusion and the per-row steady-state
-fast-forward, which must retire each config at exactly the iteration the
-1-D detector would (``c + k*d`` is not bitwise ``(c+d) + (k-1)*d``).
+fast-forward, which must retire each config at exactly the iteration it
+would retire alone (``c + k*d`` is not bitwise ``(c+d) + (k-1)*d``).
 
 Random programs reuse the generators of
 ``tests/simmpi/test_fastpath_differential.py``; partial-retirement cases
@@ -99,7 +99,7 @@ class TestRandomBatchedEquivalence:
 class TestPartialRetirement:
     def test_mixed_steady_and_noisy_rows(self):
         """Steady rows retire mid-loop while ragged rows run to the end;
-        every row must still match its own 1-D execution exactly."""
+        every row must still match its own one-row execution exactly."""
         n = 6
         nb = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1)
         program = BspProgram(

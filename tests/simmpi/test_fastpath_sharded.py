@@ -165,6 +165,49 @@ class TestPartialRetirementSharded:
             assert_all_configs_identical(got, want, f"row_block {row_block}: ")
 
 
+class TestFastForwardTelemetry:
+    """``sim.ff_saved_iters`` counts iterations saved per config row."""
+
+    N, ITERS = 16, 30
+
+    def _program(self) -> BspProgram:
+        return BspProgram(
+            self.N,
+            (VLoop((VCompute(1.0), VAllreduce(64.0)), iters=self.ITERS),),
+        )
+
+    def _saved(self, run) -> tuple[float, int, int]:
+        import repro.telemetry as telemetry
+
+        telemetry.disable()
+        telemetry.enable()
+        try:
+            run()
+        finally:
+            c = telemetry.disable()
+        hist = c.metrics.histograms["sim.ff_saved_iters"]
+        return hist.total, hist.count, c.metrics.counter("sim.fast_forward").value
+
+    @pytest.mark.parametrize("executor", ["unsharded", "sharded"])
+    def test_rows_retiring_together_each_count(self, executor):
+        program = self._program()
+        rates = 1.0 + np.random.default_rng(5).uniform(0.0, 2.0, self.N)
+
+        def run(k: int):
+            stack = np.tile(rates, (k, 1))
+            if executor == "unsharded":
+                return lambda: run_fast_batched(program, stack)
+            plan = fixed_width_plan(k, self.N, 5, workers=2)
+            return lambda: run_fast_sharded(program, stack, plan=plan)
+
+        one_total, one_count, one_ff = self._saved(run(1))
+        assert one_count == one_ff == 1
+        assert 0 < one_total < self.ITERS
+        for k in (2, 3):
+            total, count, ff = self._saved(run(k))
+            assert (total, count, ff) == (k * one_total, k, k)
+
+
 class TestShardKnobRouting:
     def test_run_fast_batched_shard_kwarg(self):
         program, rates2d = TestPartialRetirementSharded()._case()
@@ -249,10 +292,10 @@ class TestEngineDigestsUnchanged:
         sweep = self._sweep()
         plain_dir, shard_dir = tmp_path / "plain", tmp_path / "sharded"
         ExperimentEngine(
-            batch=True, cache_dir=plain_dir, shard=None
+            cache_dir=plain_dir, shard=None
         ).submit_batched_sweep(sweep)
         ExperimentEngine(
-            batch=True, cache_dir=shard_dir,
+            cache_dir=shard_dir,
             shard=ShardSpec(shard_ranks=13, shard_workers=2),
         ).submit_batched_sweep(sweep)
         names = sorted(p.name for p in plain_dir.glob("*.npz"))

@@ -417,10 +417,10 @@ class TestEngineDigestsUnchangedByProcessMode:
         sweep = self._sweep()
         plain_dir, proc_dir = tmp_path / "plain", tmp_path / "procshard"
         ExperimentEngine(
-            batch=True, cache_dir=plain_dir, shard=None
+            cache_dir=plain_dir, shard=None
         ).submit_batched_sweep(sweep)
         ExperimentEngine(
-            batch=True, cache_dir=proc_dir,
+            cache_dir=proc_dir,
             shard=ShardSpec(shard_ranks=13, shard_workers=2, mode="processes"),
         ).submit_batched_sweep(sweep)
         names = sorted(p.name for p in plain_dir.glob("*.npz"))
@@ -445,11 +445,11 @@ class TestEngineDigestsUnchangedByProcessMode:
         plain_dir, pin_dir = tmp_path / "plain", tmp_path / "pinned"
         monkeypatch.setenv(procshard._PIN_ENV, "0")
         ExperimentEngine(
-            batch=True, cache_dir=plain_dir, shard=None
+            cache_dir=plain_dir, shard=None
         ).submit_batched_sweep(sweep)
         monkeypatch.setenv(procshard._PIN_ENV, "1")
         ExperimentEngine(
-            batch=True, cache_dir=pin_dir,
+            cache_dir=pin_dir,
             shard=ShardSpec(shard_ranks=13, shard_workers=2, mode="processes"),
         ).submit_batched_sweep(sweep)
         procshard.reset_pool()

@@ -67,11 +67,11 @@ class TestHostileParameters:
 
     def test_nan_rates_rejected_by_machines(self):
         from repro.simmpi.eventsim import EventDrivenMachine
-        from repro.simmpi.machine import BspMachine
+        from repro.simmpi.machine import BatchedBspMachine
 
         bad = np.array([1.0, np.nan])
         with pytest.raises(SimulationError):
-            BspMachine(bad)
+            BatchedBspMachine(bad[None])
         with pytest.raises(SimulationError):
             EventDrivenMachine(bad)
 

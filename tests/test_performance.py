@@ -13,7 +13,7 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.cluster.topology import torus_neighbors
-from repro.simmpi.machine import BspMachine
+from repro.simmpi.machine import BatchedBspMachine
 
 
 def timed(fn) -> float:
@@ -29,11 +29,11 @@ class TestVectorisedPaths:
         nb = torus_neighbors((16, 12, 10))
 
         def run():
-            m = BspMachine(rates)
+            m = BatchedBspMachine(rates[None])
             for _ in range(300):
-                m.compute(1.0)
+                m.advance_local(1.0 / rates)
                 m.sendrecv(nb)
-            m.trace()
+            m.traces()
 
         assert timed(run) < 2.0  # milliseconds in practice
 

@@ -122,13 +122,13 @@ class TestWorkConservation:
         st.integers(min_value=1, max_value=8),
     )
     def test_compute_time_is_work_over_rate(self, rates, iters):
-        from repro.simmpi.machine import BspMachine
+        from repro.simmpi.machine import BatchedBspMachine
 
         r = np.asarray(rates)
-        m = BspMachine(r, latency_s=0.0, bandwidth_gbps=1e9)
+        m = BatchedBspMachine(r[None], latency_s=0.0, bandwidth_gbps=1e9)
         for _ in range(iters):
-            m.compute(2.0)
-        t = m.trace()
+            m.advance_local(2.0 / r)
+        t = m.traces()[0]
         assert np.allclose(t.compute_s, iters * 2.0 / r)
         assert np.allclose(t.total_s, t.compute_s)
 

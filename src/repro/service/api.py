@@ -21,6 +21,15 @@ Replies::
     {"schema_version": 1, "ok": false, "op": "allocate",
      "error": {"code": "overloaded", "message": "...", "retryable": true}}
 
+Payloads are the dataclasses below, carried by one strict codec
+(:func:`to_wire` / :func:`from_wire`) compiled from their field
+annotations once per class, at import for every op's types.  Decoding
+checks JSON types and never coerces: ``bool`` takes only true/false,
+``int`` only an integer (not a bool), ``float`` any number but a bool,
+tuples only arrays, and anything else is a ``bad-request`` naming
+``Class.field``.  Objects are built through ``cls(**kw)``, so each
+``__post_init__`` stays the one semantic validator (registries, ranges).
+
 Versioning is strict and fail-loud: a request whose ``schema_version``
 is not :data:`SCHEMA_VERSION` is rejected with a typed
 ``unknown-version`` error, and every payload is validated against the
@@ -42,7 +51,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from types import UnionType
+from typing import NoReturn, Union, get_args, get_origin, get_type_hints
 
 from repro.errors import ReproError
 
@@ -68,6 +79,8 @@ __all__ = [
     "Ack",
     "REQUEST_TYPES",
     "RESULT_TYPES",
+    "to_wire",
+    "from_wire",
     "encode_request",
     "decode_request",
     "encode_reply",
@@ -132,56 +145,142 @@ class ServiceError(ReproError):
         )
 
 
-# -- strict (de)serialisation helpers ------------------------------------------
+# -- the wire codec (rules in the module docstring) ---------------------------------
 
-def _check_fields(cls, obj: object) -> dict:
-    """Validate a wire payload against ``cls``'s exact field set.
+#: scalar annotation -> what its decoder accepts.
+_SCALARS = {
+    str: "a string", bool: "true or false", int: "an integer", float: "a number"
+}
 
-    Unknown keys are rejected (``unknown-field``), keys for fields
-    without defaults must be present (``bad-request``).  Returns the
-    payload dict for the caller to coerce field-by-field.
-    """
-    if not isinstance(obj, dict):
-        raise ServiceError(
-            "bad-request",
-            f"{cls.__name__} payload must be an object, got {type(obj).__name__}",
+_JSON_NAMES = {
+    type(None): "null", bool: "boolean", int: "integer", float: "number",
+    str: "string", list: "array", dict: "object",
+}
+
+#: dataclass -> its compiled (encode, decode) pair; see :func:`_codec`.
+_CODECS: dict[type, tuple] = {}
+
+
+def _reject(where: str, expected: str, value) -> NoReturn:
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    raise ServiceError("bad-request", f"{where} must be {expected}, got {got}")
+
+
+def _scalar(tp: type, where: str):
+    expected = _SCALARS[tp]
+
+    def decode(v):
+        if type(v) is tp:
+            return v
+        if tp is float and type(v) is int:
+            try:
+                return float(v)
+            except OverflowError:
+                _reject(where, "a number in float range", v)
+        _reject(where, expected, v)
+
+    return decode
+
+
+def _field_codec(tp, where: str) -> tuple:
+    """(encode, decode) for one field annotation.  ``encode`` is None
+    where the value is already JSON data."""
+    if tp in _SCALARS:
+        return None, _scalar(tp, where)
+    if is_dataclass(tp):
+        return _codec(tp)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (Union, UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[1] if args[0] is type(None) else args[0]
+        enc, dec = _field_codec(inner, where)
+        return (
+            None if enc is None else (lambda v: None if v is None else enc(v)),
+            lambda v: None if v is None else dec(v),
         )
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(obj) - known)
-    if unknown:
-        raise ServiceError(
-            "unknown-field",
-            f"{cls.__name__} does not accept field(s) {', '.join(unknown)} "
-            f"at schema_version {SCHEMA_VERSION}",
-        )
-    for f in fields(cls):
-        if (
-            f.name not in obj
-            and f.default is MISSING
-            and f.default_factory is MISSING
-        ):
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _field_codec(args[0], f"{where}[]")
+
+        def decode(v):
+            if type(v) is not list:
+                _reject(where, "an array", v)
+            return tuple([dec(x) for x in v])
+
+        return (list if enc is None else lambda t: [enc(x) for x in t]), decode
+    if origin is tuple and args and all(a in _SCALARS for a in args):
+        decs = tuple(_scalar(a, f"{where}[{i}]") for i, a in enumerate(args))
+
+        def decode(v):
+            if type(v) is not list or len(v) != len(decs):
+                _reject(where, f"an array of {len(decs)} items", v)
+            return tuple([d(x) for d, x in zip(decs, v)])
+
+        return list, decode
+    raise TypeError(f"{where}: unsupported wire annotation {tp!r}")
+
+
+def _codec(cls: type) -> tuple:
+    """``cls``'s (encode, decode) pair, compiled from its annotations on
+    first use.  Decode rejects a non-object payload and a missing
+    required field (``bad-request``) and an unknown field
+    (``unknown-field``)."""
+    if cls in _CODECS:
+        return _CODECS[cls]
+    name, hints, fs = cls.__name__, get_type_hints(cls), fields(cls)
+    names = tuple(f.name for f in fs)
+    codecs = {f.name: _field_codec(hints[f.name], f"{name}.{f.name}") for f in fs}
+    nested = tuple((n, enc) for n, (enc, _) in codecs.items() if enc is not None)
+    decoders = {n: dec for n, (_, dec) in codecs.items()}
+    known = frozenset(names)
+    required = tuple(
+        f.name for f in fs if f.default is MISSING and f.default_factory is MISSING
+    )
+
+    def encode(value) -> dict:
+        out = {n: getattr(value, n) for n in names}
+        for n, enc in nested:
+            out[n] = enc(out[n])
+        return out
+
+    def decode(obj):
+        if not isinstance(obj, dict):
             raise ServiceError(
-                "bad-request", f"{cls.__name__} is missing required field {f.name!r}"
+                "bad-request",
+                f"{name} payload must be an object, got {type(obj).__name__}",
             )
-    return obj
+        if not known.issuperset(obj):
+            raise ServiceError(
+                "unknown-field",
+                f"{name} does not accept field(s) "
+                f"{', '.join(sorted(set(obj) - known))} "
+                f"at schema_version {SCHEMA_VERSION}",
+            )
+        for n in required:
+            if n not in obj:
+                raise ServiceError(
+                    "bad-request", f"{name} is missing required field {n!r}"
+                )
+        return cls(**{k: decoders[k](v) for k, v in obj.items()})
+
+    _CODECS[cls] = encode, decode
+    return encode, decode
 
 
-def _wire_value(value):
-    """A dataclass field value as plain JSON-encodable data."""
-    if isinstance(value, tuple):
-        return [_wire_value(v) for v in value]
-    if hasattr(value, "to_wire"):
-        return value.to_wire()
-    return value
+def to_wire(value) -> dict:
+    """A payload dataclass as JSON-ready data (tuples become arrays)."""
+    return _codec(type(value))[0](value)
 
 
-def _to_wire(dc) -> dict:
-    """Generic dataclass -> wire dict (tuples become lists, nested
-    dataclasses recurse through their own ``to_wire``)."""
-    return {f.name: _wire_value(getattr(dc, f.name)) for f in fields(dc)}
+def from_wire(cls: type, obj):
+    """Strictly decode the JSON payload ``obj`` into a ``cls``; any
+    mismatch is a typed :class:`ServiceError`."""
+    return _codec(cls)[1](obj)
 
+
+# -- semantic validation helpers ---------------------------------------------------
 
 def _floats(value, name: str) -> tuple[float, ...]:
+    if isinstance(value, str) or not hasattr(value, "__iter__"):
+        raise ServiceError("bad-request", f"{name} must be a list of numbers")
     try:
         out = tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
@@ -289,27 +388,6 @@ class FleetSpec:
             )
         return cls(system=parts[0], n_modules=n, seed=seed, fleet_id=fleet_id)
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "FleetSpec":
-        obj = _check_fields(cls, obj)
-        counts = obj.get("device_counts", ())
-        try:
-            counts = tuple((str(n), int(c)) for n, c in counts)
-        except (TypeError, ValueError):
-            raise ServiceError(
-                "bad-request", "device_counts must be [name, count] pairs"
-            )
-        return cls(
-            system=obj.get("system", "ha8k"),
-            n_modules=int(obj.get("n_modules", 0)),
-            seed=int(obj.get("seed", 2015)),
-            fleet_id=obj.get("fleet_id", ""),
-            device_counts=counts,
-        )
-
 
 @dataclass(frozen=True)
 class FleetHandle:
@@ -327,20 +405,6 @@ class FleetHandle:
     n_modules: int
     seed: int
     shm_name: str = ""
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "FleetHandle":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=str(obj["fleet_id"]),
-            system=str(obj["system"]),
-            n_modules=int(obj["n_modules"]),
-            seed=int(obj["seed"]),
-            shm_name=str(obj.get("shm_name", "")),
-        )
 
 
 # -- allocation (the fast path) ------------------------------------------------
@@ -392,26 +456,10 @@ class AllocationRequest:
             fleet_id=fleet_id,
             app=app,
             scheme=scheme,
-            budgets_w=tuple(budgets_w),
+            budgets_w=budgets_w,
             test_module=int(test_module),
             noisy=bool(noisy),
             fs_guardband_frac=float(fs_guardband_frac),
-        )
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "AllocationRequest":
-        obj = _check_fields(cls, obj)
-        return cls.build(
-            fleet_id=obj["fleet_id"],
-            app=obj.get("app", "bt"),
-            scheme=obj.get("scheme", "vafsor"),
-            budgets_w=_floats(obj.get("budgets_w", ()), "budgets_w"),
-            test_module=obj.get("test_module", 0),
-            noisy=obj.get("noisy", True),
-            fs_guardband_frac=obj.get("fs_guardband_frac", 0.02),
         )
 
 
@@ -430,23 +478,6 @@ class BudgetAllocation:
     total_allocated_w: float = 0.0
     floor_w: float = 0.0
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "BudgetAllocation":
-        obj = _check_fields(cls, obj)
-        return cls(
-            budget_w=float(obj["budget_w"]),
-            feasible=bool(obj["feasible"]),
-            alpha=float(obj.get("alpha", 0.0)),
-            raw_alpha=float(obj.get("raw_alpha", 0.0)),
-            constrained=bool(obj.get("constrained", False)),
-            freq_ghz=float(obj.get("freq_ghz", 0.0)),
-            total_allocated_w=float(obj.get("total_allocated_w", 0.0)),
-            floor_w=float(obj.get("floor_w", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class AllocationResult:
@@ -458,22 +489,6 @@ class AllocationResult:
     scheme: str
     n_modules: int
     allocations: tuple[BudgetAllocation, ...]
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "AllocationResult":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=str(obj["fleet_id"]),
-            app=str(obj["app"]),
-            scheme=str(obj["scheme"]),
-            n_modules=int(obj["n_modules"]),
-            allocations=tuple(
-                BudgetAllocation.from_wire(a) for a in obj["allocations"]
-            ),
-        )
 
 
 # -- sweeps (full engine-backed runs) -------------------------------------------
@@ -499,6 +514,7 @@ class SweepRequest:
         object.__setattr__(self, "fleet_id", str(self.fleet_id))
         object.__setattr__(self, "budgets_w", _floats(self.budgets_w, "budgets_w"))
         _require(bool(self.budgets_w), "budgets_w must not be empty")
+        _require(self.fs_guardband_frac >= 0.0, "fs_guardband_frac must be >= 0")
         apps = tuple(_validated_app(a) for a in _strs(self.apps, "apps"))
         schemes = tuple(
             _validated_scheme(s) for s in _strs(self.schemes, "schemes")
@@ -509,23 +525,6 @@ class SweepRequest:
         object.__setattr__(self, "schemes", schemes)
         if self.n_iters is not None:
             object.__setattr__(self, "n_iters", int(self.n_iters))
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "SweepRequest":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=obj["fleet_id"],
-            apps=tuple(_strs(obj.get("apps", ["bt"]), "apps")),
-            schemes=tuple(_strs(obj.get("schemes", ["vafsor"]), "schemes")),
-            budgets_w=_floats(obj.get("budgets_w", ()), "budgets_w"),
-            n_iters=obj.get("n_iters"),
-            noisy=bool(obj.get("noisy", True)),
-            fs_guardband_frac=float(obj.get("fs_guardband_frac", 0.02)),
-            test_module=int(obj.get("test_module", 0)),
-        )
 
 
 @dataclass(frozen=True)
@@ -548,41 +547,11 @@ class SweepRun:
     vf: float = 0.0
     vt: float = 0.0
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "SweepRun":
-        obj = _check_fields(cls, obj)
-        return cls(
-            app=str(obj["app"]),
-            scheme=str(obj["scheme"]),
-            budget_w=float(obj["budget_w"]),
-            digest=str(obj["digest"]),
-            feasible=bool(obj["feasible"]),
-            makespan_s=float(obj.get("makespan_s", 0.0)),
-            total_power_w=float(obj.get("total_power_w", 0.0)),
-            within_budget=bool(obj.get("within_budget", False)),
-            vf=float(obj.get("vf", 0.0)),
-            vt=float(obj.get("vt", 0.0)),
-        )
-
 
 @dataclass(frozen=True)
 class SweepResult:
     fleet_id: str
     runs: tuple[SweepRun, ...]
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "SweepResult":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=str(obj["fleet_id"]),
-            runs=tuple(SweepRun.from_wire(r) for r in obj["runs"]),
-        )
 
 
 # -- job membership ------------------------------------------------------------
@@ -603,18 +572,6 @@ class JobAdmitRequest:
         _require(self.n_modules > 0, "a job needs n_modules > 0")
         _require(bool(self.job_id), "a job needs a job_id")
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "JobAdmitRequest":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=obj["fleet_id"],
-            job_id=obj["job_id"],
-            n_modules=obj["n_modules"],
-        )
-
 
 @dataclass(frozen=True)
 class JobDepartRequest:
@@ -624,14 +581,6 @@ class JobDepartRequest:
     def __post_init__(self):
         object.__setattr__(self, "fleet_id", str(self.fleet_id))
         object.__setattr__(self, "job_id", str(self.job_id))
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "JobDepartRequest":
-        obj = _check_fields(cls, obj)
-        return cls(fleet_id=obj["fleet_id"], job_id=obj["job_id"])
 
 
 @dataclass(frozen=True)
@@ -654,19 +603,6 @@ class BudgetUpdateRequest:
         object.__setattr__(self, "app", _validated_app(self.app))
         object.__setattr__(self, "scheme", _validated_scheme(self.scheme))
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "BudgetUpdateRequest":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=obj["fleet_id"],
-            budget_w=obj["budget_w"],
-            app=obj.get("app", "bt"),
-            scheme=obj.get("scheme", "vafsor"),
-        )
-
 
 @dataclass(frozen=True)
 class JobStateResult:
@@ -682,23 +618,6 @@ class JobStateResult:
     freq_ghz: float = 0.0
     floor_w: float = 0.0
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "JobStateResult":
-        obj = _check_fields(cls, obj)
-        return cls(
-            fleet_id=str(obj["fleet_id"]),
-            jobs=tuple(str(j) for j in obj["jobs"]),
-            active_modules=int(obj["active_modules"]),
-            budget_w=float(obj["budget_w"]),
-            feasible=bool(obj["feasible"]),
-            alpha=float(obj.get("alpha", 0.0)),
-            freq_ghz=float(obj.get("freq_ghz", 0.0)),
-            floor_w=float(obj.get("floor_w", 0.0)),
-        )
-
 
 # -- schemes, telemetry, acks ----------------------------------------------------
 
@@ -713,35 +632,10 @@ class SchemeInfo:
     variation_aware: bool
     app_dependent: bool
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "SchemeInfo":
-        obj = _check_fields(cls, obj)
-        return cls(
-            name=str(obj["name"]),
-            label=str(obj["label"]),
-            pmt_kind=str(obj["pmt_kind"]),
-            actuation=str(obj["actuation"]),
-            variation_aware=bool(obj["variation_aware"]),
-            app_dependent=bool(obj["app_dependent"]),
-        )
-
 
 @dataclass(frozen=True)
 class SchemesResult:
     schemes: tuple[SchemeInfo, ...]
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "SchemesResult":
-        obj = _check_fields(cls, obj)
-        return cls(
-            schemes=tuple(SchemeInfo.from_wire(s) for s in obj["schemes"])
-        )
 
 
 @dataclass(frozen=True)
@@ -756,17 +650,8 @@ class TelemetryRequest:
         object.__setattr__(self, "samples", int(self.samples))
         object.__setattr__(self, "interval_s", float(self.interval_s))
         _require(1 <= self.samples <= 10_000, "samples must be in [1, 10000]")
-        _require(self.interval_s >= 0.0, "interval_s must be >= 0")
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "TelemetryRequest":
-        obj = _check_fields(cls, obj)
-        return cls(
-            samples=obj.get("samples", 1),
-            interval_s=obj.get("interval_s", 0.0),
+        _require(
+            0.0 <= self.interval_s < math.inf, "interval_s must be finite and >= 0"
         )
 
 
@@ -784,43 +669,12 @@ class TelemetrySample:
     rejected: tuple[tuple[str, int], ...] = ()
     counters: tuple[tuple[str, float], ...] = ()
 
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "TelemetrySample":
-        obj = _check_fields(cls, obj)
-
-        def pairs(name, cast):
-            try:
-                return tuple((str(k), cast(v)) for k, v in obj.get(name, ()))
-            except (TypeError, ValueError):
-                raise ServiceError("bad-request", f"{name} must be [key, value] pairs")
-
-        return cls(
-            uptime_s=float(obj["uptime_s"]),
-            inflight=int(obj["inflight"]),
-            fleets=int(obj["fleets"]),
-            jobs=int(obj["jobs"]),
-            served=pairs("served", int),
-            rejected=pairs("rejected", int),
-            counters=pairs("counters", float),
-        )
-
 
 @dataclass(frozen=True)
 class Ack:
     """Generic success reply for ops with nothing to report."""
 
     message: str = "ok"
-
-    def to_wire(self) -> dict:
-        return _to_wire(self)
-
-    @classmethod
-    def from_wire(cls, obj: dict) -> "Ack":
-        obj = _check_fields(cls, obj)
-        return cls(message=str(obj.get("message", "ok")))
 
 
 # -- the op table and envelope ----------------------------------------------------
@@ -856,20 +710,16 @@ RESULT_TYPES: dict[str, type] = {
     "drain": Ack,
 }
 
+# Compile every op's codec now: an unsupported annotation fails the import.
+for _cls in (*REQUEST_TYPES.values(), *RESULT_TYPES.values()):
+    _codec(_cls)
+del _cls
+
 
 def encode_request(op: str, payload) -> bytes:
     """One request as a newline-terminated JSON line."""
-    return (
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "op": op,
-                "payload": payload.to_wire(),
-            },
-            separators=(",", ":"),
-        )
-        + "\n"
-    ).encode()
+    body = {"schema_version": SCHEMA_VERSION, "op": op, "payload": to_wire(payload)}
+    return (json.dumps(body, separators=(",", ":")) + "\n").encode()
 
 
 def decode_request(line: bytes | str) -> tuple[str, object]:
@@ -902,14 +752,14 @@ def decode_request(line: bytes | str) -> tuple[str, object]:
     if req_cls is None:
         known = ", ".join(sorted(REQUEST_TYPES))
         raise ServiceError("unknown-op", f"unknown op {op!r}; known ops: {known}")
-    return op, req_cls.from_wire(obj.get("payload", {}))
+    return op, from_wire(req_cls, obj.get("payload", {}))
 
 
 def encode_reply(op: str, result=None, error: ServiceError | None = None) -> bytes:
     """One reply as a newline-terminated JSON line."""
     body: dict = {"schema_version": SCHEMA_VERSION, "op": op, "ok": error is None}
     if error is None:
-        body["result"] = result.to_wire() if result is not None else None
+        body["result"] = to_wire(result) if result is not None else None
     else:
         body["error"] = error.to_wire()
     return (json.dumps(body, separators=(",", ":")) + "\n").encode()
@@ -938,4 +788,4 @@ def decode_reply(line: bytes | str):
     result_cls = RESULT_TYPES.get(obj.get("op"))
     if result_cls is None:
         raise ServiceError("internal", f"reply for unknown op {obj.get('op')!r}")
-    return result_cls.from_wire(obj.get("result") or {})
+    return from_wire(result_cls, obj.get("result") or {})

@@ -10,8 +10,11 @@ or re-raised as a bare ``KeyError``.
 """
 
 import json
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.service.api import (
     SCHEMA_VERSION,
@@ -39,13 +42,15 @@ from repro.service.api import (
     decode_request,
     encode_reply,
     encode_request,
+    from_wire,
+    to_wire,
 )
 
 
 def roundtrip(value):
     """to_wire -> JSON -> from_wire, as the socket would carry it."""
-    wire = json.loads(json.dumps(value.to_wire()))
-    return type(value).from_wire(wire)
+    wire = json.loads(json.dumps(to_wire(value)))
+    return from_wire(type(value), wire)
 
 
 SAMPLES = [
@@ -175,6 +180,39 @@ class TestRoundTrips:
         assert exc.value.message == "busy"
 
 
+#: The schema-version-1 encodings of every ``SAMPLES`` entry, in order:
+#: its compact payload JSON, its request line under every op that takes
+#: its type, and its reply line under every op that answers with it.
+#: Recorded with the per-class codecs the generic codec replaced, so
+#: these pin the wire bytes across codec rewrites.
+WIRE_V1 = json.loads((Path(__file__).parent / "data" / "wire_v1.json").read_text())
+
+
+class TestGoldenWire:
+    def test_fixtures_cover_every_sample(self):
+        assert [g["type"] for g in WIRE_V1] == [type(v).__name__ for v in SAMPLES]
+
+    @pytest.mark.parametrize(
+        "value, golden", zip(SAMPLES, WIRE_V1), ids=lambda v: type(v).__name__
+    )
+    def test_encoding_is_byte_identical(self, value, golden):
+        assert json.dumps(to_wire(value), separators=(",", ":")) == golden["payload"]
+        for op, line in golden["requests"].items():
+            assert encode_request(op, value) == line.encode()
+        for op, line in golden["replies"].items():
+            assert encode_reply(op, value) == line.encode()
+
+    @pytest.mark.parametrize(
+        "value, golden", zip(SAMPLES, WIRE_V1), ids=lambda v: type(v).__name__
+    )
+    def test_decoding_returns_the_sample(self, value, golden):
+        assert from_wire(type(value), json.loads(golden["payload"])) == value
+        for op, line in golden["requests"].items():
+            assert decode_request(line) == (op, value)
+        for line in golden["replies"].values():
+            assert decode_reply(line) == value
+
+
 class TestStrictValidation:
     def envelope(self, **overrides):
         body = {
@@ -228,6 +266,60 @@ class TestStrictValidation:
             decode_request(line)
         assert exc.value.code == "bad-request"
 
+    @pytest.mark.parametrize(
+        "op, payload, where",
+        [
+            ("allocate", {"fleet_id": "f0", "budgets_w": [1e4], "noisy": "false"},
+             "AllocationRequest.noisy"),
+            ("admit", {"fleet_id": "f0", "job_id": "j1", "n_modules": 3.7},
+             "JobAdmitRequest.n_modules"),
+            ("admit", {"fleet_id": "f0", "job_id": "j1", "n_modules": True},
+             "JobAdmitRequest.n_modules"),
+            ("admit", {"fleet_id": "f0", "job_id": "j1", "n_modules": "abc"},
+             "JobAdmitRequest.n_modules"),
+            ("set-budget", {"fleet_id": "f0", "budget_w": None},
+             "BudgetUpdateRequest.budget_w"),
+            ("set-budget", {"fleet_id": "f0", "budget_w": True},
+             "BudgetUpdateRequest.budget_w"),
+            ("telemetry", {"samples": None}, "TelemetryRequest.samples"),
+            ("allocate", {"fleet_id": "f0", "budgets_w": "12"},
+             "AllocationRequest.budgets_w"),
+            ("allocate", {"fleet_id": "f0", "budgets_w": [1e4, "2e4"]},
+             "AllocationRequest.budgets_w"),
+            ("sweep", {"fleet_id": "f0", "budgets_w": [1e4], "apps": "bt"},
+             "SweepRequest.apps"),
+            ("open-fleet", {"device_counts": [["cpu-a", "8"]]},
+             "FleetSpec.device_counts"),
+            ("open-fleet", {"device_counts": [["cpu-a", 8, 1]]},
+             "FleetSpec.device_counts"),
+            ("ping", {"message": 7}, "Ack.message"),
+        ],
+    )
+    def test_out_of_type_value_rejected(self, op, payload, where):
+        with pytest.raises(ServiceError) as exc:
+            decode_request(self.envelope(op=op, payload=payload))
+        assert exc.value.code == "bad-request"
+        assert where in exc.value.message
+
+    def test_float_field_takes_an_integer_as_float(self):
+        line = self.envelope(op="set-budget", payload={"fleet_id": "f0", "budget_w": 5})
+        _, req = decode_request(line)
+        assert req.budget_w == 5.0 and type(req.budget_w) is float
+
+    def test_optional_field_takes_null(self):
+        line = self.envelope(
+            op="sweep", payload={"fleet_id": "f0", "budgets_w": [1e4], "n_iters": None}
+        )
+        assert decode_request(line)[1].n_iters is None
+
+    def test_unsupported_annotation_fails_to_compile(self):
+        @dataclass(frozen=True)
+        class Untyped:
+            table: dict
+
+        with pytest.raises(TypeError, match="Untyped.table"):
+            to_wire(Untyped(table={}))
+
     def test_garbage_line_rejected(self):
         with pytest.raises(ServiceError) as exc:
             decode_request(b"not json at all\n")
@@ -276,6 +368,16 @@ class TestBuilder:
             AllocationRequest.build(fleet_id="f0", budgets_w=["cheap"])
         assert exc.value.code == "bad-request"
 
+    def test_bare_string_budgets_rejected(self):
+        with pytest.raises(ServiceError) as exc:
+            AllocationRequest.build(fleet_id="f0", budgets_w="12")
+        assert exc.value.code == "bad-request"
+
+    def test_sweep_rejects_negative_guardband(self):
+        with pytest.raises(ServiceError) as exc:
+            SweepRequest(fleet_id="f0", budgets_w=(1e4,), fs_guardband_frac=-0.1)
+        assert exc.value.code == "bad-request"
+
     def test_sweep_validates_every_name(self):
         with pytest.raises(ServiceError) as exc:
             SweepRequest(
@@ -319,6 +421,8 @@ class TestTelemetryRequest:
             TelemetryRequest(samples=10_001)
         with pytest.raises(ServiceError):
             TelemetryRequest(interval_s=-1.0)
+        with pytest.raises(ServiceError):
+            TelemetryRequest(interval_s=float("inf"))
 
 
 class TestServiceError:
@@ -335,3 +439,35 @@ class TestServiceError:
         from repro.errors import ReproError
 
         assert isinstance(ServiceError("internal", "x"), ReproError)
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["bt", "vafsor", "ha8k", "f0", "cpu-a"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=8,
+)
+
+
+class TestDecodeFuzz:
+    """Arbitrary JSON under a request type's own field names decodes or
+    fails typed: the daemon can always answer with a reply."""
+
+    @pytest.mark.parametrize("op", sorted(REQUEST_TYPES))
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_decode_request_raises_only_service_error(self, op, data):
+        names = [f.name for f in fields(REQUEST_TYPES[op])]
+        payload = data.draw(st.dictionaries(st.sampled_from(names), JSON_VALUES))
+        body = {"schema_version": SCHEMA_VERSION, "op": op, "payload": payload}
+        line = json.dumps(body)
+        try:
+            decode_request(line)
+        except ServiceError:
+            pass

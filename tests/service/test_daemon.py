@@ -99,6 +99,38 @@ class TestRequestReply:
         assert reply["schema_version"] == SCHEMA_VERSION
 
 
+#: Payloads whose values have the wrong JSON type: each must get a typed
+#: bad-request reply and leave the connection usable.
+MALFORMED = [
+    ("admit", {"fleet_id": "f0", "job_id": "j1", "n_modules": "abc"}),
+    ("telemetry", {"samples": None}),
+]
+
+
+def _line(op, payload):
+    body = {"schema_version": SCHEMA_VERSION, "op": op, "payload": payload}
+    return json.dumps(body).encode() + b"\n"
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize("op, payload", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_typed_reply_then_ping_on_same_connection(
+        self, server, op, payload, caplog
+    ):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+            s.settimeout(10)
+            s.connect(server.address)
+            replies = s.makefile("rb")
+            s.sendall(_line(op, payload))
+            reply = json.loads(replies.readline())
+            assert reply["ok"] is False
+            assert reply["error"]["code"] == "bad-request"
+            s.sendall(_line("ping", {}))
+            reply = json.loads(replies.readline())
+        assert reply["ok"] is True and reply["op"] == "ping"
+        assert "Unhandled exception" not in caplog.text
+
+
 class TestBackpressure:
     def test_overload_is_fast_typed_reject(self, fleet, monkeypatch):
         """With max_pending=1 and a deliberately slow handler, a second
@@ -246,3 +278,15 @@ class TestHttpAdapter:
             )
             assert status == 404
             assert reply["error"]["code"] == "unknown-op"
+
+    @pytest.mark.parametrize("op, payload", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_malformed_value_is_400(self, op, payload, caplog):
+        with BackgroundServer(http_port=0) as server:
+            status, reply = self.post(
+                server.daemon.http_port,
+                f"/v1/{op}",
+                {"schema_version": SCHEMA_VERSION, "payload": payload},
+            )
+        assert status == 400
+        assert reply["error"]["code"] == "bad-request"
+        assert "Unhandled exception" not in caplog.text

@@ -27,7 +27,6 @@ from repro.core.pvt import generate_pvt
 from repro.exec import ExperimentEngine, RunKey
 from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.fleet import run_fleet_point
-from repro.util.topology import cpu_budget, effective_cpu_count
 
 BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_fleet.json"
 
@@ -271,188 +270,6 @@ def test_telemetry_overhead_under_5pct(benchmark):
         f"\ntelemetry overhead @ {OVERHEAD_MODULES // 1000}k modules: "
         f"{overhead:+.2%} (on {on_s:.2f} s / off {off_s:.2f} s, "
         f"min of {OVERHEAD_REPEATS}) -> {BENCH_FILE.name}"
-    )
-
-
-# -- cross-process sharded executor (invariant 9 acceptance) -------------------
-
-#: The acceptance plane: 8 config rows over the million-module rank
-#: axis, run through identical shard plans in thread and process mode.
-PROCSHARD_MODULES = 1_000_000
-PROCSHARD_CONFIGS = 8
-PROCSHARD_ITERS = 10
-PROCSHARD_REPEATS = 2
-PROCSHARD_WORKERS = 4
-MIN_PROCSHARD_SPEEDUP = 1.5
-#: The ≥1.5x gate only applies where the process pool can actually buy
-#: parallelism; single-digit-core CI boxes record the ratio un-gated.
-MIN_CORES_FOR_SPEEDUP_GATE = 8
-
-
-def test_procshard_throughput_recorded(benchmark):
-    """Thread-sharded vs process-sharded execution of the same plan on
-    the same (8, 1M) plane: bit-identical results (asserted), with both
-    throughputs and their ratio appended to ``BENCH_fleet.json`` (kind
-    ``procshard``).  On ≥8-core machines the process pool must clear
-    ≥1.5x the thread-sharded rate; below that the record is still
-    written so the trajectory shows where the crossover lives."""
-    from repro.simmpi import procshard
-    from repro.simmpi.fastpath import (
-        BspProgram, VAllreduce, VCompute, VLoop, run_fast_sharded,
-    )
-    from repro.simmpi.sharding import plan_shards
-
-    n_ranks = PROCSHARD_MODULES
-    program = BspProgram(
-        n_ranks,
-        (VLoop((VCompute(1.0), VAllreduce(64.0)), iters=PROCSHARD_ITERS),),
-    )
-    rng = np.random.default_rng(11)
-    rates = 1.0 + rng.uniform(0.0, 2.0, (PROCSHARD_CONFIGS, n_ranks))
-    plan = plan_shards(
-        PROCSHARD_CONFIGS, n_ranks, shard_workers=PROCSHARD_WORKERS
-    )
-
-    walls: dict[str, list[float]] = {"threads": [], "processes": []}
-    results: dict[str, list] = {}
-    procshard.reset_pool()  # pay the fork inside the measured wall
-    for _ in range(PROCSHARD_REPEATS):
-        for mode in ("threads", "processes"):
-            t0 = perf_counter()
-            results[mode] = run_fast_sharded(
-                program, rates, plan=plan, mode=mode
-            )
-            walls[mode].append(perf_counter() - t0)
-
-    # One representative process-mode run under the benchmark timer.
-    run_once(
-        benchmark, run_fast_sharded, program, rates, plan=plan,
-        mode="processes",
-    )
-    procshard.reset_pool()
-
-    # Identity leg: the two executors must agree bitwise (the full
-    # differential proof lives in tests/simmpi/).
-    for t, p in zip(results["threads"], results["processes"]):
-        assert np.array_equal(t.total_s, p.total_s)
-        assert np.array_equal(t.compute_s, p.compute_s)
-
-    cells = PROCSHARD_CONFIGS * n_ranks
-    threads_rate = cells / min(walls["threads"])
-    processes_rate = cells / min(walls["processes"])
-    speedup = processes_rate / threads_rate
-    cpus = effective_cpu_count()
-    if cpus >= MIN_CORES_FOR_SPEEDUP_GATE:
-        assert speedup >= MIN_PROCSHARD_SPEEDUP, (
-            f"process-sharded execution is only {speedup:.2f}x the "
-            f"thread-sharded rate on {cpus} cores "
-            f"(floor {MIN_PROCSHARD_SPEEDUP}x at ≥"
-            f"{MIN_CORES_FOR_SPEEDUP_GATE} cores)"
-        )
-
-    _append_record(
-        {
-            "kind": "procshard",
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "n_modules": PROCSHARD_MODULES,
-            "n_configs": PROCSHARD_CONFIGS,
-            "n_iters": PROCSHARD_ITERS,
-            "workers": PROCSHARD_WORKERS,
-            "repeats": PROCSHARD_REPEATS,
-            "cpus": cpus,
-            "threads_ranks_per_sec": round(threads_rate, 1),
-            "processes_ranks_per_sec": round(processes_rate, 1),
-            "speedup": round(speedup, 3),
-        }
-    )
-    print(
-        f"\nprocshard @ {PROCSHARD_CONFIGS} configs x "
-        f"{PROCSHARD_MODULES // 1000}k modules ({cpus} cpus): "
-        f"processes {processes_rate / 1e6:.2f}M vs threads "
-        f"{threads_rate / 1e6:.2f}M ranks/s -> {speedup:.2f}x "
-        f"-> {BENCH_FILE.name}"
-    )
-
-
-def test_numa_procshard_throughput_recorded(benchmark):
-    """Pinned (topology-aware: node-local plane segments + CPU-affine
-    workers) vs unpinned process-sharded execution of the same plan on
-    the (8, 1M) plane: bit-identical results (asserted), both rates and
-    their ratio appended to ``BENCH_fleet.json`` (kind
-    ``numa_procshard``).  The ratio is recorded un-gated — on 1-node or
-    core-restricted boxes pinning is near-neutral by design; the
-    regression guard ratchets the pinned rate itself."""
-    from repro.simmpi import procshard
-    from repro.simmpi.fastpath import (
-        BspProgram, VAllreduce, VCompute, VLoop,
-    )
-    from repro.simmpi.procshard import run_fast_procshard
-    from repro.simmpi.sharding import plan_shards
-
-    n_ranks = PROCSHARD_MODULES
-    program = BspProgram(
-        n_ranks,
-        (VLoop((VCompute(1.0), VAllreduce(64.0)), iters=PROCSHARD_ITERS),),
-    )
-    rng = np.random.default_rng(11)
-    rates = 1.0 + rng.uniform(0.0, 2.0, (PROCSHARD_CONFIGS, n_ranks))
-    topology = cpu_budget().topology
-    plan = plan_shards(
-        PROCSHARD_CONFIGS, n_ranks, shard_workers=PROCSHARD_WORKERS,
-        topology=topology,
-    )
-
-    walls: dict[bool, list[float]] = {False: [], True: []}
-    results: dict[bool, list] = {}
-    for pin in (False, True):
-        procshard.reset_pool()  # pay the fork inside the measured wall
-        for _ in range(PROCSHARD_REPEATS):
-            t0 = perf_counter()
-            results[pin] = run_fast_procshard(
-                program, rates, plan=plan, pin=pin, topology=topology,
-            )
-            walls[pin].append(perf_counter() - t0)
-
-    # One representative pinned run under the benchmark timer.
-    run_once(
-        benchmark, run_fast_procshard, program, rates, plan=plan,
-        pin=True, topology=topology,
-    )
-    procshard.reset_pool()
-
-    # Identity leg: placement must never change bits (invariant 11; the
-    # full differential proof lives in tests/simmpi/).
-    for u, p in zip(results[False], results[True]):
-        assert np.array_equal(u.total_s, p.total_s)
-        assert np.array_equal(u.compute_s, p.compute_s)
-
-    cells = PROCSHARD_CONFIGS * n_ranks
-    unpinned_rate = cells / min(walls[False])
-    pinned_rate = cells / min(walls[True])
-    ratio = pinned_rate / unpinned_rate
-    _append_record(
-        {
-            "kind": "numa_procshard",
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "n_modules": PROCSHARD_MODULES,
-            "n_configs": PROCSHARD_CONFIGS,
-            "n_iters": PROCSHARD_ITERS,
-            "workers": PROCSHARD_WORKERS,
-            "repeats": PROCSHARD_REPEATS,
-            "cpus": effective_cpu_count(),
-            "nodes": topology.n_nodes,
-            "unpinned_ranks_per_sec": round(unpinned_rate, 1),
-            "pinned_ranks_per_sec": round(pinned_rate, 1),
-            "pin_ratio": round(ratio, 3),
-        }
-    )
-    print(
-        f"\nnuma_procshard @ {PROCSHARD_CONFIGS} configs x "
-        f"{PROCSHARD_MODULES // 1000}k modules "
-        f"({effective_cpu_count()} cpus, {topology.n_nodes} nodes): "
-        f"pinned {pinned_rate / 1e6:.2f}M vs unpinned "
-        f"{unpinned_rate / 1e6:.2f}M ranks/s -> {ratio:.2f}x "
-        f"-> {BENCH_FILE.name}"
     )
 
 

@@ -15,10 +15,6 @@ compares each against the best *committed* baseline in
   (modules × schemes per second) at 16k modules, guarding the typed
   per-device scatter paths against creep the uniform-fleet guards
   cannot see;
-* **numa_procshard** — the topology-pinned process-sharded executor's
-  ranks/sec on the (8, 1M) plane (node-local plane segments + CPU-affine
-  workers), ratcheted against committed ``numa_procshard`` baselines so
-  the locality layer cannot silently rot;
 * **service_qps** — allocation-service round trips per second against a
   hot 100k-module fleet (committed baselines in ``BENCH_service.json``),
   which must also clear its 1,000 qps acceptance floor regardless of
@@ -79,16 +75,6 @@ MIN_SWEEP_SPEEDUP = 3.0
 HETERO_MODULES = 16_384
 HETERO_REPEATS = 3
 MIN_HETERO_RATE = 40_000.0
-
-#: The topology-pinned executor guard workload (mirrors
-#: ``benchmarks/test_fleet.py::test_numa_procshard_throughput_recorded``).
-#: Ratchet-only: the absolute rate is machine-relative, so the floor is
-#: the best committed baseline less TOLERANCE, never a fixed number.
-NUMA_MODULES = 1_000_000
-NUMA_CONFIGS = 8
-NUMA_ITERS = 10
-NUMA_WORKERS = 4
-NUMA_REPEATS = 2
 
 #: The service-daemon guard workload (mirrors
 #: ``benchmarks/test_service.py::test_service_allocation_qps_recorded``,
@@ -163,18 +149,17 @@ def _latest_fleet_points() -> list[dict]:
     return []
 
 
-def _baselines() -> tuple[list[float], list[float], list[float], list[float]]:
+def _baselines() -> tuple[list[float], list[float], list[float]]:
     """(fleet ranks/sec at GUARD_MODULES, batched-sweep speedups,
-    hetero modules/sec at HETERO_MODULES, pinned procshard ranks/sec at
-    NUMA_MODULES) from every committed record; corrupt or missing files
-    yield no baselines (first run on a branch must still pass the
-    absolute floors)."""
+    hetero modules/sec at HETERO_MODULES) from every committed record;
+    corrupt or missing files yield no baselines (first run on a branch
+    must still pass the absolute floors)."""
     if not BENCH_FILE.exists():
-        return [], [], [], []
+        return [], [], []
     try:
         runs = json.loads(BENCH_FILE.read_text())["runs"]
     except (json.JSONDecodeError, KeyError, TypeError):
-        return [], [], [], []
+        return [], [], []
     fleet = [
         float(p["ranks_per_sec"])
         for r in runs
@@ -191,13 +176,7 @@ def _baselines() -> tuple[list[float], list[float], list[float], list[float]]:
         if r.get("kind") == "hetero_fleet"
         and r.get("n_modules") == HETERO_MODULES
     ]
-    numa = [
-        float(r["pinned_ranks_per_sec"])
-        for r in runs
-        if r.get("kind") == "numa_procshard"
-        and r.get("n_modules") == NUMA_MODULES
-    ]
-    return fleet, sweeps, hetero, numa
+    return fleet, sweeps, hetero
 
 
 def _service_baselines() -> list[float]:
@@ -267,41 +246,6 @@ def _fresh_hetero_rate() -> float:
     return HETERO_MODULES * len(HETERO_SCHEMES) / wall
 
 
-def _fresh_numa_rate() -> float:
-    """Best-of-N pinned process-sharded ranks/sec on the (NUMA_CONFIGS,
-    NUMA_MODULES) plane — the topology-pinned executor's headline."""
-    import numpy as np
-
-    from repro.simmpi import procshard
-    from repro.simmpi.fastpath import BspProgram, VAllreduce, VCompute, VLoop
-    from repro.simmpi.sharding import plan_shards
-    from repro.util.topology import cpu_budget
-
-    program = BspProgram(
-        NUMA_MODULES,
-        (VLoop((VCompute(1.0), VAllreduce(64.0)), iters=NUMA_ITERS),),
-    )
-    rng = np.random.default_rng(11)
-    rates = 1.0 + rng.uniform(0.0, 2.0, (NUMA_CONFIGS, NUMA_MODULES))
-    topology = cpu_budget().topology
-    plan = plan_shards(
-        NUMA_CONFIGS, NUMA_MODULES, shard_workers=NUMA_WORKERS,
-        topology=topology,
-    )
-    procshard.reset_pool()
-    try:
-        walls = []
-        for _ in range(NUMA_REPEATS + 1):  # first run warms the pool
-            t0 = perf_counter()
-            procshard.run_fast_procshard(
-                program, rates, plan=plan, pin=True, topology=topology
-            )
-            walls.append(perf_counter() - t0)
-        return NUMA_CONFIGS * NUMA_MODULES / min(walls[1:])
-    finally:
-        procshard.reset_pool()
-
-
 def _fresh_sweep_speedup() -> float:
     """Min-of-N walls for the batched vs sequential engine sweep."""
     import numpy as np
@@ -342,7 +286,7 @@ def main() -> int:
         print("bench guard: skipped (REPRO_BENCH_SKIP set)")
         return 0
 
-    fleet_base, sweep_base, hetero_base, numa_base = _baselines()
+    fleet_base, sweep_base, hetero_base = _baselines()
     failures: list[str] = []
 
     latest = _latest_fleet_points()
@@ -404,26 +348,6 @@ def main() -> int:
         failures.append(
             f"mixed-fleet evaluation regressed: {hetero_rate:,.0f} "
             f"module-schemes/s vs floor {floor:,.0f}"
-        )
-
-    numa_rate = _fresh_numa_rate()
-    if numa_base:
-        best = max(numa_base)
-        floor = best * (1.0 - TOLERANCE)
-        print(
-            f"numa procshard @ {NUMA_CONFIGS} x {NUMA_MODULES // 1000}k "
-            f"pinned: {numa_rate:,.0f} ranks/s "
-            f"(best committed {best:,.0f}, floor {floor:,.0f})"
-        )
-        if numa_rate < floor:
-            failures.append(
-                f"topology-pinned procshard regressed >{TOLERANCE:.0%}: "
-                f"{numa_rate:,.0f} ranks/s vs best committed {best:,.0f}"
-            )
-    else:
-        print(
-            f"numa procshard @ {NUMA_CONFIGS} x {NUMA_MODULES // 1000}k "
-            f"pinned: {numa_rate:,.0f} ranks/s (no committed baseline)"
         )
 
     qps = _fresh_service_qps()

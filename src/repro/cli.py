@@ -161,15 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         "CPU core, capped at the shard count)",
     )
     parser.add_argument(
-        "--shard-mode",
-        choices=engine_mod.SHARD_MODES,
-        default=None,
-        help="sharded-executor backend: 'threads' tiles in-process "
-        "(default), 'processes' spreads row blocks over a worker-process "
-        "pool via shared memory — execution layout only, results are "
-        "bit-identical either way",
-    )
-    parser.add_argument(
         "--pin",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -279,19 +270,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_engine(args: argparse.Namespace):
-    """Install the process-global engine from the parsed flags.
-
-    An explicit ``--pin``/``--no-pin`` is also exported as
-    ``REPRO_PROCSHARD_PIN`` so the process-sharded simulation executor
-    (which resolves its own pinning default) follows the same choice.
-    """
-    if args.pin is not None:
-        os.environ[engine_mod.PROCSHARD_PIN_ENV] = "1" if args.pin else "0"
+    """Install the process-global engine from the parsed flags."""
     return engine_mod.configure(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        shard=_shard_arg(args),
+        shard=args.shard,
         pin=args.pin,
     )
 
@@ -299,18 +283,13 @@ def _configure_engine(args: argparse.Namespace):
 def _shard_arg(args: argparse.Namespace):
     """The engine ``shard`` value for the parsed flags: ``"auto"`` when
     no knob was given, else a pinned ShardSpec (auto geometry unless
-    ``--shard-ranks``/``--shard-workers`` pin it; ``--shard-mode``
-    picks the thread vs worker-process executor)."""
-    if (
-        args.shard_ranks is None
-        and args.shard_workers is None
-        and args.shard_mode is None
-    ):
+    ``--shard-ranks``/``--shard-workers`` pin it).  Raises
+    :class:`~repro.errors.ConfigurationError` on a non-positive knob."""
+    if args.shard_ranks is None and args.shard_workers is None:
         return "auto"
     return engine_mod.ShardSpec(
         shard_ranks=args.shard_ranks,
         shard_workers=args.shard_workers,
-        mode=args.shard_mode or "threads",
     )
 
 
@@ -537,6 +516,7 @@ def _run_point(args: argparse.Namespace, name: str) -> int:
                 args.modules,
                 app=args.app,
                 cm_w=args.cm if args.cm is not None else FLEET_CM_W,
+                shard=engine_mod.get_engine().shard,
             )
             print(format_fleet([point]))
         else:
@@ -560,6 +540,7 @@ def _run_point(args: argparse.Namespace, name: str) -> int:
                     if args.budget_frac is not None
                     else HETERO_BUDGET_FRAC
                 ),
+                shard=engine_mod.get_engine().shard,
             )
             print(format_hetero([point]))
     except ServiceError as exc:
@@ -604,18 +585,19 @@ def _run_topo() -> int:
         if topo.llc_bytes is None
         else f"{topo.llc_bytes // 1024} KiB"
     )
-    try:
-        pin = "on" if engine_mod.procshard_pin_default() else "off"
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    # Mirrors ExperimentEngine._resolve_pin's default.
+    pin = (
+        "on for --jobs > 1"
+        if hasattr(os, "sched_setaffinity")
+        else "unsupported on this platform"
+    )
     print(f"effective CPUs  : {effective_cpu_count()}")
     print(f"last-level cache: {llc}")
     print(
         f"core budget     : {budget.total} total, "
         f"{budget.claimed_cpus} claimed in {budget.n_leases} lease(s)"
     )
-    print(f"worker pinning  : {pin} (override: {engine_mod.PROCSHARD_PIN_ENV})")
+    print(f"worker pinning  : {pin} (override: --pin/--no-pin)")
     return 0
 
 
@@ -623,6 +605,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns a process exit code."""
     args = build_parser().parse_args(argv)
     name = args.experiment.lower()
+    try:
+        args.shard = _shard_arg(args)
+    except ConfigurationError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
 
     if name == "list":
         width = max(len(k) for k in EXPERIMENTS)

@@ -426,11 +426,8 @@ def run_budgeted_batched(
     (default) tiles the (configs, ranks) plane once it outgrows the
     cache working-set budget, a
     :class:`~repro.simmpi.sharding.ShardSpec`/:class:`~repro.simmpi.sharding.ShardPlan`
-    pins the tiling, ``None`` forces the unsharded path.  A spec's
-    ``mode`` additionally picks the executor — ``"threads"`` (default)
-    or ``"processes"`` (row blocks on a worker-process pool over a
-    shared-memory state plane).  Sharding is pure execution layout:
-    results are bit-identical either way.
+    pins the tiling, ``None`` forces the unsharded path.  Sharding is
+    pure execution layout: results are bit-identical either way.
 
     Entry *i* is the :class:`RunResult` of config *i* — the same bits
     whatever else is in the batch, since every stage performs the same

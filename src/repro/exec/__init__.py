@@ -24,20 +24,14 @@ from repro.exec.engine import (
 )
 from repro.exec.metrics import BatchRecord, RunRecord, RunStats
 
-# Re-exported so front-ends (the CLI) can pin shard layout and mode
-# without a direct cli -> simmpi import edge; the engine owns the knob.
-from repro.simmpi.sharding import SHARD_MODES, ShardPlan, ShardSpec
-from repro.simmpi.procshard import _PIN_ENV as PROCSHARD_PIN_ENV
-from repro.simmpi.procshard import _pin_default as procshard_pin_default
+# Re-exported so front-ends (the CLI) can pin shard layout without a
+# direct cli -> simmpi import edge; the engine owns the knob.
+from repro.simmpi.sharding import ShardPlan, ShardSpec
 from repro.exec.shared import (
     SharedFleet,
-    SharedPlane,
     attach_fleet,
-    attach_plane,
     destroy_fleet,
-    destroy_plane,
     export_fleet,
-    export_plane,
     fleet_pvt,
 )
 
@@ -54,18 +48,11 @@ __all__ = [
     "BatchRecord",
     "RunRecord",
     "RunStats",
-    "PROCSHARD_PIN_ENV",
-    "procshard_pin_default",
-    "SHARD_MODES",
     "ShardPlan",
     "ShardSpec",
     "SharedFleet",
-    "SharedPlane",
     "attach_fleet",
-    "attach_plane",
     "destroy_fleet",
-    "destroy_plane",
     "export_fleet",
-    "export_plane",
     "fleet_pvt",
 ]

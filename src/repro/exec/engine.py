@@ -171,13 +171,12 @@ def _execute_key(key: RunKey) -> RunResult:
     )
 
 
-#: Fault-injection hook for the worker wrappers, mirroring
-#: ``REPRO_PROCSHARD_FAULT`` in :mod:`repro.simmpi.procshard`: set to
-#: ``"kill"`` to SIGKILL a pool worker at task start.  Only fires in
-#: actual pool children (``_pool_run`` also executes inline when
-#: ``jobs == 1``, where dying would kill the caller, not simulate a
-#: worker crash).  Used by the overload/fault tests to prove callers
-#: get a typed retryable error rather than a hang.
+#: Fault-injection hook for the worker wrappers: set to ``"kill"`` to
+#: SIGKILL a pool worker at task start.  Only fires in actual pool
+#: children (``_pool_run`` also executes inline when ``jobs == 1``,
+#: where dying would kill the caller, not simulate a worker crash).
+#: Used by the overload/fault tests to prove callers get a typed
+#: retryable error rather than a hang.
 _FAULT_ENV = "REPRO_ENGINE_FAULT"
 
 
@@ -312,10 +311,10 @@ class ExperimentEngine:
         pins whenever the platform supports affinity and the pool is
         actually parallel; ``False`` disables.  Placement only — results
         and digests are unaffected (ARCHITECTURE.md invariant 11), but
-        pinning makes composed pools (engine workers × process-sharded
-        simulation × inner tile threads) partition the machine instead
-        of oversubscribing it, because children derive their own worker
-        counts from the shrunken affinity mask they inherit.
+        pinning makes composed pools (engine workers × inner tile
+        threads) partition the machine instead of oversubscribing it,
+        because children derive their own worker counts from the
+        shrunken affinity mask they inherit.
     cache_dir:
         Cache directory; ``None`` uses the default
         (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) when caching is on.
@@ -331,8 +330,7 @@ class ExperimentEngine:
         :func:`~repro.core.runner.run_budgeted_batched`: ``"auto"``
         (the default) tiles the simulation plane when it outgrows the
         cache working-set budget, a
-        :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling (and
-        its ``mode`` picks threads vs worker processes for row blocks),
+        :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling,
         ``None`` forces the unsharded path.  Layout only — results and
         cache digests never depend on it.
     """

@@ -19,14 +19,6 @@ Lifecycle: the parent calls :func:`export_fleet` before submitting a
 group and :func:`destroy_fleet` after the pool has drained (POSIX keeps
 existing worker mappings valid across the unlink).  Workers cache their
 attachment per shared-memory name for the life of the process.
-
-Fleets are not the only thing that crosses the process boundary this
-way: the cross-process sharded executor exports the batched
-``(n_configs, n_ranks)`` *state plane* itself as a named segment.  That
-surface (:class:`SharedPlane` / :func:`export_plane` /
-:func:`attach_plane` / :func:`destroy_plane`) is implemented in
-:mod:`repro.simmpi.procshard` — ``simmpi`` may not import ``exec`` — and
-re-exported here so front-ends keep one shared-memory entry point.
 """
 
 from __future__ import annotations
@@ -44,12 +36,6 @@ from repro.hardware.devices import DeviceMap, DeviceType
 from repro.hardware.microarch import Microarchitecture
 from repro.hardware.module import ModuleArray
 from repro.hardware.variability import ModuleVariation
-from repro.simmpi.procshard import (
-    SharedPlane,
-    attach_plane,
-    destroy_plane,
-    export_plane,
-)
 from repro.util.rng import RngFactory
 from repro.util.shm import attach_block as _attach_block
 
@@ -59,10 +45,6 @@ __all__ = [
     "attach_fleet",
     "destroy_fleet",
     "fleet_pvt",
-    "SharedPlane",
-    "export_plane",
-    "attach_plane",
-    "destroy_plane",
 ]
 
 #: ModuleVariation fields, in on-disk segment order.

@@ -36,6 +36,7 @@ import repro.telemetry as telemetry
 from repro.apps import get_app
 from repro.cluster.configs import build_system
 from repro.core.runner import run_budgeted_batched
+from repro.exec import get_engine
 from repro.experiments.common import DEFAULT_SEED
 from repro.service.api import AllocationRequest
 from repro.util.tables import render_table
@@ -199,7 +200,9 @@ def run_fleet(
     seed: int = DEFAULT_SEED,
     chunk_modules: int = FLEET_CHUNK,
 ) -> list[FleetPoint]:
-    """The full size sweep (one :class:`FleetPoint` per entry)."""
+    """The full size sweep (one :class:`FleetPoint` per entry), laid
+    out by the configured engine's ``shard``."""
+    shard = get_engine().shard
     return [
         run_fleet_point(
             n,
@@ -208,6 +211,7 @@ def run_fleet(
             n_iters=n_iters,
             seed=seed,
             chunk_modules=chunk_modules,
+            shard=shard,
         )
         for n in sizes
     ]

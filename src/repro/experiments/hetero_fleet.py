@@ -36,6 +36,7 @@ import repro.telemetry as telemetry
 from repro.apps import get_app
 from repro.cluster.configs import build_hetero_system
 from repro.core.runner import run_budgeted_batched, run_uncapped
+from repro.exec import get_engine
 from repro.experiments.common import DEFAULT_SEED
 from repro.service.api import AllocationRequest
 from repro.util.stats import worst_case_variation
@@ -195,7 +196,9 @@ def run_hetero(
     n_iters: int = HETERO_ITERS,
     seed: int = DEFAULT_SEED,
 ) -> list[HeteroFleetPoint]:
-    """The full mixed-fleet sweep (one :class:`HeteroFleetPoint` each)."""
+    """The full mixed-fleet sweep (one :class:`HeteroFleetPoint` each),
+    laid out by the configured engine's ``shard``."""
+    shard = get_engine().shard
     return [
         run_hetero_point(
             n,
@@ -204,6 +207,7 @@ def run_hetero(
             budget_frac=budget_frac,
             n_iters=n_iters,
             seed=seed,
+            shard=shard,
         )
         for n in sizes
     ]

@@ -67,7 +67,7 @@ from repro.simmpi.eventsim import (
     Send,
 )
 from repro.simmpi.machine import BatchedBspMachine
-from repro.simmpi.sharding import SHARD_MODES, ShardPlan, ShardSpec, plan_shards
+from repro.simmpi.sharding import ShardPlan, ShardSpec, plan_shards
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
@@ -882,12 +882,6 @@ def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan | None:
     )
 
 
-def _resolve_shard_mode(shard) -> str:
-    """The execution mode a ``shard`` argument asks for (specs carry it;
-    plans, ``"auto"`` and ``None`` mean the in-process thread executor)."""
-    return shard.mode if isinstance(shard, ShardSpec) else "threads"
-
-
 def run_fast_sharded(
     program: BspProgram,
     rates: np.ndarray,
@@ -895,7 +889,6 @@ def run_fast_sharded(
     latency_s: float = 5e-6,
     bandwidth_gbps: float = 5.0,
     plan: ShardPlan | None = None,
-    mode: str = "threads",
 ) -> list[RankTrace]:
     """Execute :func:`run_fast_batched`'s contract on a tiled plan.
 
@@ -905,17 +898,7 @@ def run_fast_sharded(
     asks for more than one worker.  Results are bit-identical to the
     unsharded path — ARCHITECTURE.md invariant 8.  ``plan=None``
     auto-tunes via :func:`~repro.simmpi.sharding.plan_shards`.
-
-    ``mode="processes"`` hands the same plan to the cross-process
-    executor (:func:`repro.simmpi.procshard.run_fast_procshard`): row
-    blocks run on a persistent worker-process pool over a shared-memory
-    plane, bit-identical again (invariant 9) and falling back to this
-    thread path on any worker failure.
     """
-    if mode not in SHARD_MODES:
-        raise ConfigurationError(
-            f"shard mode must be one of {SHARD_MODES}; got {mode!r}"
-        )
     r = np.asarray(rates, dtype=float)
     if r.ndim != 2 or r.shape[1] != program.n_ranks:
         raise ConfigurationError(
@@ -927,13 +910,6 @@ def run_fast_sharded(
         raise ConfigurationError(
             f"plan is for a {(plan.n_configs, plan.n_ranks)} plane; "
             f"rates have shape {r.shape}"
-        )
-    if mode == "processes":
-        from repro.simmpi import procshard
-
-        return procshard.run_fast_procshard(
-            program, r,
-            latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
         )
     tiles = plan.col_tiles()
     busy = [0.0] * len(tiles)
@@ -1005,10 +981,8 @@ def run_fast_batched(
     :class:`~repro.simmpi.sharding.ShardSpec`) tiles it to the
     working-set budget via :func:`~repro.simmpi.sharding.plan_shards`,
     and an explicit :class:`~repro.simmpi.sharding.ShardPlan` is used
-    as given.  A spec's ``mode`` additionally picks the executor
-    (threads in-process vs the worker-process pool).  Plans that
-    degenerate to one whole-plane tile fall through to the unsharded
-    executor.
+    as given.  Plans that degenerate to one whole-plane tile fall
+    through to the unsharded executor.
     """
     r = np.asarray(rates, dtype=float)
     if r.ndim != 2 or r.shape[1] != program.n_ranks:
@@ -1020,7 +994,6 @@ def run_fast_batched(
         return run_fast_sharded(
             program, r,
             latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
-            mode=_resolve_shard_mode(shard),
         )
     machine = BatchedBspMachine(
         r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps

@@ -29,24 +29,15 @@ import os
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.util.topology import NumaTopology, effective_cpu_count
+from repro.util.topology import effective_cpu_count
 
 __all__ = [
     "BYTES_PER_ELEMENT",
     "DEFAULT_TARGET_BYTES",
-    "SHARD_MODES",
     "ShardPlan",
     "ShardSpec",
     "plan_shards",
 ]
-
-#: How a plan's shards execute: ``"threads"`` runs column tiles on an
-#: in-process thread pool (:func:`~repro.simmpi.fastpath.run_fast_sharded`);
-#: ``"processes"`` distributes row blocks over a persistent worker-process
-#: pool attached to the plane via shared memory
-#: (:mod:`repro.simmpi.procshard`).  A mode is execution layout only —
-#: results are bit-identical either way (ARCHITECTURE.md invariants 8/9).
-SHARD_MODES = ("threads", "processes")
 
 #: Per-plane-element working-set footprint of one sharded superstep:
 #: ~22 live float64 arrays (machine state ×4, rates, snapshot/delta/prev
@@ -63,13 +54,11 @@ DEFAULT_TARGET_BYTES = 8 * 1024 * 1024
 _TARGET_ENV = "REPRO_SHARD_TARGET_BYTES"
 
 
-def _resolve_target_bytes(
-    target_bytes: int | None, topology: NumaTopology | None = None
-) -> int:
+def _resolve_target_bytes(target_bytes: int | None) -> int:
     if target_bytes is None:
         raw = os.environ.get(_TARGET_ENV)
         if raw is None:
-            return _default_target_bytes(topology)
+            return DEFAULT_TARGET_BYTES
         try:
             target_bytes = int(raw)
         except ValueError:
@@ -83,19 +72,6 @@ def _resolve_target_bytes(
     if target_bytes <= 0:
         raise ConfigurationError("shard working-set budget must be positive")
     return int(target_bytes)
-
-
-def _default_target_bytes(topology: NumaTopology | None) -> int:
-    """The auto tiling budget: :data:`DEFAULT_TARGET_BYTES`, shrunk when
-    a probed per-node LLC says even that would thrash.  The default is a
-    *cap*, never raised, so machines whose LLC sysfs is absent (or huge)
-    plan exactly as before."""
-    if topology is None or topology.llc_bytes is None:
-        return DEFAULT_TARGET_BYTES
-    # Budget for the per-node working set: half the node's LLC, leaving
-    # the other half for the interpreter, rate planes, and neighbours.
-    per_node = max(BYTES_PER_ELEMENT, topology.llc_bytes // 2)
-    return min(DEFAULT_TARGET_BYTES, per_node)
 
 
 @dataclass(frozen=True)
@@ -183,7 +159,6 @@ def plan_shards(
     shard_ranks: int | None = None,
     shard_workers: int | None = None,
     target_bytes: int | None = None,
-    topology: NumaTopology | None = None,
 ) -> ShardPlan:
     """Tile a plane to the working-set budget (or explicit knobs).
 
@@ -199,13 +174,6 @@ def plan_shards(
     defaults to ``min(effective CPUs, column tiles)`` (the affinity-aware
     count — a ``taskset``/cgroup-restricted process plans for the cores
     it may actually use).
-
-    ``topology`` makes the auto geometry locality-aware: the tiling
-    budget is sized to the probed per-node LLC (never above the default)
-    and, on multi-node machines, the config axis is split so every node
-    can own whole row blocks.  Like every shard knob this changes
-    execution layout only — the plan's tiles still cover the plane
-    exactly once and results are bit-identical (invariants 8/9/11).
     """
     if n_configs <= 0 or n_ranks <= 0:
         raise ConfigurationError("plane dimensions must be positive")
@@ -219,7 +187,7 @@ def plan_shards(
         bounds = tuple(range(0, n_ranks, width)) + (n_ranks,)
         row_block = n_configs
     else:
-        budget = _resolve_target_bytes(target_bytes, topology) // BYTES_PER_ELEMENT
+        budget = _resolve_target_bytes(target_bytes) // BYTES_PER_ELEMENT
         budget = max(1, budget)
         if n_configs * n_ranks <= budget:
             row_block, bounds = n_configs, (0, n_ranks)
@@ -230,25 +198,12 @@ def plan_shards(
                 bounds = (0, n_ranks)
             else:
                 bounds = _balanced_bounds(n_ranks, width_cap)
-        if (
-            topology is not None
-            and topology.n_nodes > 1
-            and n_configs >= topology.n_nodes
-            and -(-n_configs // row_block) < topology.n_nodes
-        ):
-            # Node alignment: enough row blocks that each NUMA node can
-            # own at least one whole block (rows are independent, so
-            # splitting them finer is free — invariant 7).
-            row_block = max(1, -(-n_configs // topology.n_nodes))
 
     n_tiles = len(bounds) - 1
     if shard_workers is not None:
         workers = min(int(shard_workers), n_tiles)
     else:
-        available = (
-            topology.n_cpus if topology is not None else effective_cpu_count()
-        )
-        workers = min(available, n_tiles)
+        workers = min(effective_cpu_count(), n_tiles)
     return ShardPlan(
         n_configs=n_configs,
         n_ranks=n_ranks,
@@ -266,24 +221,21 @@ class ShardSpec:
     :class:`~repro.exec.cache.RunKey` — sharding cannot change results,
     so it must not change digests) and resolves to a concrete
     :class:`ShardPlan` per run via :meth:`plan`.  The default spec is
-    pure auto-tuning.
-
-    ``mode`` picks the executor (:data:`SHARD_MODES`): ``"threads"``
-    (default) tiles within one process, ``"processes"`` spreads row
-    blocks across a worker-process pool over a shared-memory plane.
-    The geometry (:meth:`plan`) is mode-independent.
+    pure auto-tuning.  Every knob that is set must be positive; a bad
+    value fails here, at construction, not when a plan is first built.
     """
 
     shard_ranks: int | None = None
     shard_workers: int | None = None
     target_bytes: int | None = None
-    mode: str = "threads"
 
     def __post_init__(self) -> None:
-        if self.mode not in SHARD_MODES:
-            raise ConfigurationError(
-                f"shard mode must be one of {SHARD_MODES}; got {self.mode!r}"
-            )
+        for name in ("shard_ranks", "shard_workers", "target_bytes"):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ConfigurationError(
+                    f"{name} must be positive; got {value}"
+                )
 
     def plan(self, n_configs: int, n_ranks: int) -> ShardPlan:
         """The concrete plan for one plane shape."""

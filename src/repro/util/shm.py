@@ -1,13 +1,10 @@
-"""POSIX shared-memory helpers shared by the exec and simmpi layers.
+"""POSIX shared-memory attach helper.
 
-Both the fleet handoff (:mod:`repro.exec.shared`) and the cross-process
-sharded executor (:mod:`repro.simmpi.procshard`) hand named segments to
+The fleet handoff (:mod:`repro.exec.shared`) hands named segments to
 pool workers whose lifetime the *parent* owns.  Attaching a segment the
 normal way registers it with the worker's ``resource_tracker``, which
 unlinks the parent-owned block when the worker exits — exactly the
-teardown race both call sites must avoid.  This module holds the one
-attach helper they share; it lives in ``util`` because ``simmpi`` may
-not import ``exec`` (see ``scripts/check_layering.py``).
+teardown race a worker-side attach must avoid.
 """
 
 from __future__ import annotations

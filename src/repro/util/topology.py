@@ -1,6 +1,6 @@
 """CPU/NUMA topology probing and the process-wide core ledger.
 
-The sharded executors place work on cores; this module is the one place
+The worker pools place work on cores; this module is the one place
 that knows what the cores *are*.  Three pieces:
 
 * :func:`probe_topology` parses the Linux sysfs NUMA layout
@@ -18,8 +18,8 @@ that knows what the cores *are*.  Three pieces:
 * :class:`CpuBudget` is a process-wide ledger over the effective CPU
   set: pool builders claim node-aware, disjoint CPU slices for their
   workers instead of each sizing itself to "all cores", so composed
-  pools (engine ``jobs>1`` × process-sharded execution × inner tile
-  threads) partition the machine rather than oversubscribe it.
+  pools (engine ``jobs>1`` × inner tile threads) partition the machine
+  rather than oversubscribe it.
 
 Placement is execution layout only — nothing here may influence a
 result, a cache digest, or a plan's simulated semantics

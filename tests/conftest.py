@@ -1,12 +1,12 @@
-"""Shared fixtures for the simulator suites.
+"""Suite-wide fixtures.
 
-The cross-process sharded executor (``repro.simmpi.procshard``)
-allocates named POSIX shared-memory segments; a bug in its lifecycle
-(or an un-cleaned fault-injection path) would leak them into
+The fleet handoff (``repro.exec.shared``) — used by the ``--jobs``
+engine pool, the batched sweeps and the allocation service — exports
+fleets to named POSIX shared memory; a bug in a teardown path (or an
+un-cleaned fault-injection path) would leak ``psm_*`` segments into
 ``/dev/shm`` where they persist past the interpreter.  The autouse
-fixture below turns every test in this directory into a leak check:
-it snapshots the ``psm_*`` segment names before the test and fails if
-new ones survive it.
+fixture below turns every test into a leak check: it snapshots the
+segment names before the test and fails if new ones survive it.
 """
 
 import os

@@ -1,9 +1,9 @@
 """Composition proof for the process-wide CPU budget.
 
-``ExperimentEngine(jobs>1)`` worker pools, the process-sharded
-simulation executor, and inner tile threads all draw worker counts from
-the same :func:`~repro.util.topology.cpu_budget` / effective-affinity
-plumbing, so composed pools partition cores instead of oversubscribing.
+``ExperimentEngine(jobs>1)`` worker pools and inner tile threads both
+draw worker counts from the same
+:func:`~repro.util.topology.cpu_budget` / effective-affinity plumbing,
+so composed pools partition cores instead of oversubscribing.
 The audit surface is the placement gauges the engine records
 (``engine.cpu_budget.total`` / ``engine.pool.workers`` /
 ``engine.pool.cpus_granted``): granted CPUs never exceed the budget, on
@@ -43,18 +43,16 @@ def _sweep():
 
 
 class TestComposedPoolsRespectBudget:
-    def test_engine_jobs_times_procshard_stays_inside_budget(
-        self, fresh_telemetry, monkeypatch
+    def test_engine_jobs_times_shard_threads_stays_inside_budget(
+        self, fresh_telemetry
     ):
-        """The acceptance composition: ``jobs=2`` engine pool ×
-        ``--shard-mode=processes`` × pinned workers.  The distinct CPUs
-        the engine grants can never exceed the budget total."""
-        monkeypatch.delenv("REPRO_PROCSHARD_PIN", raising=False)
+        """The acceptance composition: ``jobs=2`` engine pool × pinned
+        workers × a pinned two-thread tiling.  The distinct CPUs the
+        engine grants can never exceed the budget total."""
         engine = ExperimentEngine(
             jobs=2,
             pin=True,
-            shard=ShardSpec(shard_ranks=13, shard_workers=2,
-                            mode="processes"),
+            shard=ShardSpec(shard_ranks=13, shard_workers=2),
         )
         engine.submit_batched_sweep(_sweep())
         snap = telemetry.snapshot()

@@ -89,71 +89,3 @@ class TestShardedGoldenAgreement:
         assert p.fleet_fmax_power_kw == pytest.approx(
             g["fleet_fmax_power_kw"], rel=REL
         )
-
-
-@pytest.mark.slow
-class TestProcShardedGoldenAgreement:
-    def test_forced_process_sharded_run_matches_golden_pins(self):
-        """The same awkward layout executed across worker *processes*
-        (invariant 9) must land on the published numbers too.  Worker
-        count is CI-matrix-tunable via REPRO_PROCSHARD_SMOKE_WORKERS."""
-        import os
-
-        workers = int(os.environ.get("REPRO_PROCSHARD_SMOKE_WORKERS", "2"))
-        p = run_fleet_point(
-            4096,
-            shard=ShardSpec(
-                shard_ranks=257, shard_workers=workers, mode="processes"
-            ),
-        )
-        g = GOLDEN_FLEET_4096
-        assert p.vf["naive"] == pytest.approx(g["vf_naive"], rel=REL)
-        assert p.vt["naive"] == pytest.approx(g["vt_naive"], rel=REL)
-        assert p.speedup["vapcor"] == pytest.approx(
-            g["speedup_vapcor"], rel=REL
-        )
-        assert p.speedup["vafsor"] == pytest.approx(
-            g["speedup_vafsor"], rel=REL
-        )
-        assert p.fleet_fmax_power_kw == pytest.approx(
-            g["fleet_fmax_power_kw"], rel=REL
-        )
-
-
-@pytest.mark.slow
-class TestProcShardSmokeMillion:
-    """Process-sharded million-module run: same wall/RSS discipline as
-    the in-process smoke, plus the shared-memory segment must be gone
-    afterwards (the plane at 1M modules is ~120 MiB per field — a leak
-    here is not a rounding error)."""
-
-    def test_million_modules_process_sharded(self):
-        import os
-        import time
-
-        shm_before = {
-            n for n in os.listdir("/dev/shm") if n.startswith("psm_")
-        }
-        t0 = time.perf_counter()
-        p = run_fleet_point(
-            MILLION,
-            shard=ShardSpec(shard_workers=2, mode="processes"),
-        )
-        wall = time.perf_counter() - t0
-        assert p.n_modules == MILLION
-        assert wall < MAX_WALL_S, (
-            f"process-sharded 1M fleet point took {wall:.1f} s "
-            f"(budget {MAX_WALL_S:.0f} s)"
-        )
-        peak = _peak_rss_mb()
-        assert peak < MAX_PEAK_RSS_MB, (
-            f"process-sharded 1M fleet point peaked at {peak:.0f} MiB RSS "
-            f"(budget {MAX_PEAK_RSS_MB:.0f} MiB)"
-        )
-        leaked = {
-            n for n in os.listdir("/dev/shm") if n.startswith("psm_")
-        } - shm_before
-        assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"
-        assert p.vf["naive"] > 1.5
-        assert p.speedup["vapcor"] > 1.3
-        assert p.vt["vapcor"] == pytest.approx(1.0, abs=1e-4)

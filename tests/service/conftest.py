@@ -1,35 +1,10 @@
 """Shared fixtures for the allocation-service suites.
 
-The service exports every hosted fleet to named POSIX shared memory
-(``repro.exec.shared``); a bug in the drain path — or an un-cleaned
-fault-injection path — would leak ``psm_*`` segments into ``/dev/shm``
-where they persist past the interpreter.  The autouse fixture below
-turns every test in this directory into a leak check, mirroring
-``tests/simmpi/conftest.py``.
+The ``/dev/shm`` leak check that covers the service's fleet exports is
+suite-wide (``tests/conftest.py``).
 """
 
-import os
-
 import pytest
-
-_SHM_DIR = "/dev/shm"
-
-
-def _psm_segments() -> set[str]:
-    try:
-        names = os.listdir(_SHM_DIR)
-    except OSError:  # platform without /dev/shm — nothing to check
-        return set()
-    return {n for n in names if n.startswith("psm_")}
-
-
-@pytest.fixture(autouse=True)
-def shm_leak_check():
-    """Fail any test that leaves a new shared-memory segment behind."""
-    before = _psm_segments()
-    yield
-    leaked = _psm_segments() - before
-    assert not leaked, f"test leaked shared-memory segments: {sorted(leaked)}"
 
 
 @pytest.fixture(autouse=True)

@@ -1,9 +1,8 @@
 """Fault injection: a pool worker dying mid-request must surface as a
 typed, retryable error — never a hang, never a leaked shm block.
 
-``REPRO_ENGINE_FAULT=kill`` (mirroring ``REPRO_PROCSHARD_FAULT`` in the
-sharded simulator) makes every engine pool worker SIGKILL itself at
-task start.  The hook only fires in actual pool children, so the pool
+``REPRO_ENGINE_FAULT=kill`` makes every engine pool worker SIGKILL
+itself at task start.  The hook only fires in actual pool children, so the pool
 must engage: that needs ``jobs > 1`` *and* at least two batch groups —
 two apps give two group signatures.  The conftest leak fixture asserts
 the engine's cleanup still ran despite the crash.

@@ -11,7 +11,9 @@ to exactly the IEEE-754 operations the unsharded machine performs.
 Random programs and rate stacks reuse the generators of the existing
 differential suites; the shard plans are adversarial by construction:
 1-rank tiles, prime widths that straddle every boundary, widths that do
-not divide ``n_ranks``, row blocks of 1, and multi-worker thread pools.
+not divide ``n_ranks``, row blocks of 1 (alone and under a thread pool),
+multi-worker thread pools, more workers than column tiles, and
+singleton config stacks.
 Partial-retirement programs (some configs steady, some noisy) are the
 hardest case — the detector state must survive the active-set shrink on
 every tile simultaneously.
@@ -69,8 +71,16 @@ def adversarial_plans(n_configs: int, n_ranks: int) -> list[ShardPlan]:
     ]
     if n_configs > 1:
         plans.append(fixed_width_plan(n_configs, n_ranks, 2, row_block=1))
+        plans.append(
+            fixed_width_plan(n_configs, n_ranks, 2, row_block=1, workers=2)
+        )
     if n_ranks >= 3:
         plans.append(fixed_width_plan(n_configs, n_ranks, 2, workers=3))
+    if n_ranks >= 2:
+        # Two column tiles, three workers: an idle thread in every pass.
+        plans.append(
+            fixed_width_plan(n_configs, n_ranks, n_ranks - 1, workers=3)
+        )
     return plans
 
 
@@ -141,15 +151,20 @@ class TestPartialRetirementSharded:
     def test_every_adversarial_plan(self):
         """Mixed steady/noisy rows retire mid-loop while tiles of every
         width (1-rank, prime, non-divisible) must agree bitwise."""
-        program, rates2d = self._case()
-        want = run_fast_batched(program, rates2d, latency_s=0.0)
-        for plan in adversarial_plans(rates2d.shape[0], program.n_ranks):
-            got = run_fast_sharded(
-                program, rates2d, latency_s=0.0, plan=plan
-            )
-            assert_all_configs_identical(
-                got, want, f"plan {plan.col_bounds}/{plan.row_block}: "
-            )
+        program, full = self._case()
+        # The full stack and a singleton (noisy) config row.
+        for rates2d in (full, full[1:2]):
+            want = run_fast_batched(program, rates2d, latency_s=0.0)
+            for plan in adversarial_plans(rates2d.shape[0], program.n_ranks):
+                got = run_fast_sharded(
+                    program, rates2d, latency_s=0.0, plan=plan
+                )
+                assert_all_configs_identical(
+                    got, want,
+                    f"{rates2d.shape[0]} configs, "
+                    f"plan {plan.col_bounds}/{plan.row_block}/"
+                    f"{plan.n_workers}: ",
+                )
 
     def test_retirement_straddles_row_block_boundary(self):
         """Row blocks split the config stack between a retiring and a

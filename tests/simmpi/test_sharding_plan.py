@@ -23,6 +23,7 @@ from repro.simmpi.sharding import (
     ShardSpec,
     plan_shards,
 )
+from repro.util.topology import effective_cpu_count
 
 
 def assert_exact_partition(plan: ShardPlan) -> None:
@@ -129,6 +130,9 @@ class TestExplicitKnobs:
     def test_workers_capped_at_tile_count(self):
         plan = plan_shards(2, 10, shard_ranks=5, shard_workers=64)
         assert plan.n_workers <= plan.n_col_shards
+        # The default derives from the affinity mask, not cpu_count().
+        plan = plan_shards(2, 100, shard_ranks=1)
+        assert plan.n_workers == min(effective_cpu_count(), 100)
 
     def test_nonpositive_knobs_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -139,6 +143,16 @@ class TestExplicitKnobs:
             plan_shards(0, 10)
         with pytest.raises(ConfigurationError):
             plan_shards(2, 0)
+
+    @pytest.mark.parametrize(
+        "knob", ["shard_ranks", "shard_workers", "target_bytes"]
+    )
+    @pytest.mark.parametrize("value", [0, -5])
+    def test_spec_rejects_nonpositive_knobs_at_construction(self, knob, value):
+        """A bad knob fails when the spec is built, not when (or if) a
+        plan is later drawn from it."""
+        with pytest.raises(ConfigurationError, match=knob):
+            ShardSpec(**{knob: value})
 
     def test_spec_forwards_to_planner(self):
         spec = ShardSpec(shard_ranks=3, shard_workers=2)
@@ -215,117 +229,15 @@ class TestPlanValidation:
 
 
 class TestShardMode:
-    """The spec's ``mode`` knob: validated early, never part of the
-    geometry (plans are executor-agnostic)."""
-
-    def test_modes_enumerated(self):
-        from repro.simmpi.sharding import SHARD_MODES
-
-        assert SHARD_MODES == ("threads", "processes")
-
-    def test_default_is_threads(self):
-        assert ShardSpec().mode == "threads"
-
-    def test_explicit_modes_accepted(self):
-        from repro.simmpi.sharding import SHARD_MODES
-
-        for mode in SHARD_MODES:
-            assert ShardSpec(mode=mode).mode == mode
-
-    def test_unknown_mode_rejected_at_construction(self):
-        with pytest.raises(ConfigurationError):
-            ShardSpec(mode="fibers")
-
-    def test_mode_does_not_change_the_plan(self):
-        """Geometry is mode-independent: the same knobs produce the
-        same ShardPlan whichever executor will run it."""
-        threads = ShardSpec(shard_ranks=3, shard_workers=2, mode="threads")
-        procs = ShardSpec(shard_ranks=3, shard_workers=2, mode="processes")
-        assert threads.plan(4, 10) == procs.plan(4, 10)
+    """There is one (thread-sharded) executor, so a plan names none."""
 
     def test_plan_has_no_mode_field(self):
         assert "mode" not in ShardPlan.__dataclass_fields__
 
 
 class TestTopologyAwarePlans:
-    """Degenerate and multi-node topologies all yield valid exact-cover
-    plans — topology informs layout, never correctness (invariant 11)."""
-
-    @staticmethod
-    def _topo(*node_cpus, source="sysfs", llc=None):
-        from repro.util.topology import NumaNode, NumaTopology
-
-        return NumaTopology(
-            nodes=tuple(
-                NumaNode(i, cpus) for i, cpus in enumerate(node_cpus)
-            ),
-            source=source,
-            llc_bytes=llc,
-        )
-
-    def test_single_core_topology(self):
-        topo = self._topo((0,), source="flat")
-        plan = plan_shards(8, 5000, topology=topo)
-        assert plan.n_workers == 1
-        assert_exact_partition(plan)
-
-    def test_workers_exceed_cores(self):
-        topo = self._topo((0,), source="flat")
-        plan = plan_shards(8, 5000, shard_ranks=100, shard_workers=64,
-                           topology=topo)
-        assert plan.n_workers <= plan.n_col_shards
-        assert_exact_partition(plan)
-
-    def test_forced_flat_fallback(self, monkeypatch, tmp_path):
-        """REPRO_TOPOLOGY=flat (the empty-affinity-intersection path
-        collapses to the same single-node shape) still plans exactly."""
-        from repro.util.topology import probe_topology
-
-        monkeypatch.setenv("REPRO_TOPOLOGY", "flat")
-        topo = probe_topology(tmp_path)
-        assert topo.source == "flat"
-        plan = plan_shards(16, 4000, topology=topo)
-        assert_exact_partition(plan)
-
-    def test_empty_affinity_intersection_plan(self, tmp_path):
-        """A mask disjoint from every sysfs node degrades to flat and
-        the resulting plan still covers the plane exactly."""
-        from repro.util.topology import probe_topology
-
-        sysfs = tmp_path / "devices/system/node/node0"
-        sysfs.mkdir(parents=True)
-        (sysfs / "cpulist").write_text("0-3\n")
-        topo = probe_topology(tmp_path, affinity={9, 10})
-        assert topo.source == "flat"
-        plan = plan_shards(8, 3000, topology=topo)
-        assert plan.n_workers <= 2
-        assert_exact_partition(plan)
-
-    def test_multi_node_row_alignment(self):
-        """On a multi-node topology a big plane gets at least one row
-        block per node (so each node can own whole blocks) and still
-        covers exactly."""
-        topo = self._topo((0, 1, 2, 3), (4, 5, 6, 7))
-        plan = plan_shards(8, 200_000, topology=topo)
-        assert plan.n_row_blocks >= topo.n_nodes
-        assert_exact_partition(plan)
-
-    def test_fewer_configs_than_nodes_stays_valid(self):
-        topo = self._topo((0,), (1,), (2,), (3,))
-        plan = plan_shards(2, 100_000, topology=topo)
-        assert_exact_partition(plan)
-
-    def test_llc_caps_budget_never_raises_it(self):
-        """A tiny probed LLC shrinks the auto budget (more tiles); a
-        huge one leaves the default cap untouched."""
-        small = self._topo((0,), llc=64 * 1024)
-        huge = self._topo((0,), llc=1 << 40)
-        base = plan_shards(8, 50_000)
-        capped = plan_shards(8, 50_000, topology=small)
-        unchanged = plan_shards(8, 50_000, topology=huge)
-        assert capped.n_col_shards >= base.n_col_shards
-        assert unchanged.col_bounds == base.col_bounds
-        assert_exact_partition(capped)
+    """Host topology may size the default worker count, never the shape
+    of a plan."""
 
     def test_topology_never_changes_plan_fields(self):
         """Plans carry geometry only — no topology/placement field may

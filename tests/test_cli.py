@@ -4,7 +4,7 @@ import pytest
 
 import repro.cli as cli
 from repro.cli import EXPERIMENTS, build_parser, main
-from repro.exec import get_engine, reset
+from repro.exec import ShardSpec, configure, get_engine, reset
 
 
 @pytest.fixture(autouse=True)
@@ -90,6 +90,57 @@ class TestEngineFlags:
     def test_unknown_experiment_does_not_configure_engine(self, tmp_path, capsys):
         assert main(["fig42", "--cache-dir", str(tmp_path / "never")]) == 2
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("name", ["fleet", "hetero"])
+    def test_shard_flags_reach_the_single_point(self, name, monkeypatch, capsys):
+        import importlib
+
+        module = importlib.import_module(
+            {"fleet": "repro.experiments.fleet",
+             "hetero": "repro.experiments.hetero_fleet"}[name]
+        )
+        seen = []
+        real = module.run_budgeted_batched
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["shard"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "run_budgeted_batched", spy)
+        argv = [name, "--modules", "512",
+                "--shard-ranks", "257", "--shard-workers", "2"]
+        assert main(argv) == 0
+        assert seen == [ShardSpec(shard_ranks=257, shard_workers=2)]
+
+    def test_sweeps_use_the_configured_engine_shard(self, monkeypatch):
+        import repro.experiments.fleet as fleet
+        import repro.experiments.hetero_fleet as hetero
+
+        spec = ShardSpec(shard_ranks=100, shard_workers=2)
+        configure(shard=spec)
+        seen = []
+        for module in (fleet, hetero):
+            real = module.run_budgeted_batched
+
+            def spy(*args, _real=real, **kwargs):
+                seen.append(kwargs["shard"])
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run_budgeted_batched", spy)
+        fleet.run_fleet((256,), n_iters=2)
+        hetero.run_hetero((256,), n_iters=2)
+        assert seen == [spec, spec]
+
+    @pytest.mark.parametrize(
+        "flag", [["--shard-workers", "0"], ["--shard-ranks", "-5"]]
+    )
+    def test_nonpositive_shard_flag_is_a_one_line_error(self, flag, capsys):
+        assert main(["fleet", "--modules", "512", *flag]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "must be positive" in err
+        assert "Traceback" not in err
 
 
 class TestRunAll:

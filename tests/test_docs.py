@@ -60,10 +60,10 @@ class TestArchitectureDoc:
 
 class TestReproducingDoc:
     def test_shard_mode_block_runs(self):
-        """The §6 shard-mode snippet is a live differential check: it
+        """The §6 sharding snippet is a live differential check: it
         must execute and its bit-identity asserts must hold."""
         blocks = python_blocks(ROOT / "docs" / "REPRODUCING.md")
-        assert blocks, "REPRODUCING.md must contain the shard-mode snippet"
+        assert blocks, "REPRODUCING.md must contain the sharding snippet"
         for i, code in enumerate(blocks):
             namespace: dict = {}
             exec(  # noqa: S102
@@ -72,12 +72,10 @@ class TestReproducingDoc:
 
     def test_env_knobs_mentioned_exist(self):
         text = (ROOT / "docs" / "REPRODUCING.md").read_text()
-        from repro.simmpi import procshard, sharding
+        from repro.simmpi import sharding
         from repro.util import topology
 
         assert sharding._TARGET_ENV in text
-        assert procshard._TIMEOUT_ENV in text
-        assert procshard._PIN_ENV in text
         assert topology._TOPOLOGY_ENV in text
 
     def test_topology_section_documents_the_cli(self):

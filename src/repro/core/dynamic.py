@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.system import System
-from repro.core.multiapp import Job, job_progress_rate, partition_power
+from repro.core.multiapp import Job, _job_pmt, _job_progress_rate, _partition_power
 from repro.core.pvt import PowerVariationTable
 from repro.core.schemes import Scheme, get_scheme
 from repro.errors import ConfigurationError
@@ -66,11 +66,6 @@ class DynamicResult:
         return self.static_makespan_s / self.dynamic_makespan_s
 
 
-def _job_rate(system: System, job: Job, scheme: Scheme, pvt, budget_w: float) -> float:
-    """Work progress rate (fraction of the job's total work per second)."""
-    return job_progress_rate(system, job, scheme, pvt, budget_w)
-
-
 def run_dynamic(
     system: System,
     jobs: list[Job],
@@ -84,36 +79,38 @@ def run_dynamic(
 
     Work is fluid (rate × time); rates come from each job's α-solve at
     its current budget.  At every job completion the remaining jobs'
-    budgets are re-partitioned over the full system budget.
+    budgets are re-partitioned over the full system budget.  Each job's
+    PMT is built once, when the simulation starts, and serves every
+    re-partition and rate until the job completes.
     """
     if not jobs:
         raise ConfigurationError("run_dynamic needs at least one job")
     if isinstance(scheme, str):
         scheme = get_scheme(scheme)
+    pmts = {j.name: _job_pmt(system, j, scheme, pvt) for j in jobs}
 
-    initial = partition_power(
-        system, jobs, total_budget_w, policy=policy, scheme=scheme, pvt=pvt
-    )
+    def partition(live: list[Job]) -> dict[str, float]:
+        return _partition_power(live, total_budget_w, pmts, policy=policy).job_budget_w
+
+    def rate(job: Job, budget_w: float) -> float:
+        """Work progress rate (fraction of the job's total work per second)."""
+        return _job_progress_rate(job, pmts[job.name], budget_w, system.arch.fmax)
+
+    initial = partition(jobs)
 
     # Static: every job keeps its initial budget until it finishes.
-    static_finish = {
-        j.name: 1.0 / _job_rate(system, j, scheme, pvt, initial.job_budget_w[j.name])
-        for j in jobs
-    }
+    static_finish = {j.name: 1.0 / rate(j, initial[j.name]) for j in jobs}
 
     # Dynamic: event loop over completions with re-partitioning.
     remaining = {j.name: 1.0 for j in jobs}  # fraction of work left
     alive = {j.name: j for j in jobs}
-    budgets = dict(initial.job_budget_w)
+    budgets = dict(initial)
     epochs: dict[str, list[tuple[float, float, float]]] = {j.name: [] for j in jobs}
     finish: dict[str, float] = {}
     now = 0.0
 
     while alive:
-        rates = {
-            name: _job_rate(system, job, scheme, pvt, budgets[name])
-            for name, job in alive.items()
-        }
+        rates = {name: rate(job, budgets[name]) for name, job in alive.items()}
         for name in alive:
             epochs[name].append((now, budgets[name], rates[name]))
         # Time until the next completion at current rates.
@@ -127,15 +124,9 @@ def run_dynamic(
                 remaining[name] = 0.0
                 finish[name] = now
                 del alive[name]
+                del pmts[name]
         if alive:
-            budgets = partition_power(
-                system,
-                list(alive.values()),
-                total_budget_w,
-                policy=policy,
-                scheme=scheme,
-                pvt=pvt,
-            ).job_budget_w
+            budgets = partition(list(alive.values()))
 
     return DynamicResult(
         static_finish_s=static_finish,

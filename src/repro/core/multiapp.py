@@ -129,13 +129,30 @@ def partition_power(
     InfeasibleBudgetError
         If the budget cannot cover every job's fmin floor.
     """
+    if isinstance(scheme, str):
+        scheme = get_scheme(scheme)
+    pmts = {j.name: _job_pmt(system, j, scheme, pvt) for j in jobs}
+    return _partition_power(
+        jobs, total_budget_w, pmts, policy=policy, increment_w=increment_w
+    )
+
+
+def _partition_power(
+    jobs: list[Job],
+    total_budget_w: float,
+    pmts: dict[str, PowerModelTable],
+    *,
+    policy: str,
+    increment_w: float | None = None,
+) -> PowerPartition:
+    """:func:`partition_power` on already-built PMTs (job name → PMT),
+    so the event-driven schedulers build each job's PMT once per job
+    lifetime instead of once per event."""
     if not jobs:
         raise ConfigurationError("partition_power needs at least one job")
     names = [j.name for j in jobs]
     if len(set(names)) != len(names):
         raise ConfigurationError("job names must be unique")
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
     if policy not in _POLICIES:
         raise ConfigurationError(
             f"unknown policy {policy!r}; available: {', '.join(_POLICIES)}"
@@ -145,7 +162,7 @@ def partition_power(
         "multiapp.partition", policy=policy, jobs=len(jobs)
     ):
         telemetry.count(f"multiapp.partition[{policy}]")
-        pmts = {j.name: _job_pmt(system, j, scheme, pvt) for j in jobs}
+        pmts = {j.name: pmts[j.name] for j in jobs}  # just these jobs, in order
         floors = {name: pmt.model.total_min_w() for name, pmt in pmts.items()}
         ceilings = {name: pmt.model.total_max_w() for name, pmt in pmts.items()}
         floor_total = sum(floors.values())
@@ -262,11 +279,17 @@ def job_progress_rate(
     if isinstance(scheme, str):
         scheme = get_scheme(scheme)
     pmt = _job_pmt(system, job, scheme, pvt)
+    return _job_progress_rate(job, pmt, budget_w, system.arch.fmax)
+
+
+def _job_progress_rate(
+    job: Job, pmt: PowerModelTable, budget_w: float, fmax: float
+) -> float:
+    """:func:`job_progress_rate` on the job's already-built PMT."""
     sol = solve_alpha(pmt.model, budget_w)
     app = job.app
-    arch = system.arch
     t_iter = app.iter_seconds_fmax * (
-        app.cpu_bound_fraction * arch.fmax / sol.freq_ghz
+        app.cpu_bound_fraction * fmax / sol.freq_ghz
         + (1.0 - app.cpu_bound_fraction)
     )
     return 1.0 / (t_iter * app.default_iters)

@@ -36,7 +36,8 @@ import numpy as np
 from repro.apps.base import AppModel
 from repro.cluster.scheduler import JobScheduler
 from repro.cluster.system import System
-from repro.core.multiapp import Job, job_progress_rate, partition_power
+from repro.core.multiapp import Job, _job_pmt, _job_progress_rate, _partition_power
+from repro.core.pmt import PowerModelTable
 from repro.core.pvt import PowerVariationTable
 from repro.core.schemes import Scheme, get_scheme
 from repro.errors import ConfigurationError, SchedulerError
@@ -107,8 +108,13 @@ class ScheduleResult:
 
 @dataclass
 class _Running:
+    """A running job plus what is fixed for its lifetime: its PMT and
+    the power its admission reserved."""
+
     job: Job
     start_s: float
+    pmt: PowerModelTable
+    need_w: float
     remaining: float = 1.0
     rate: float = 0.0
     budget_w: float = 0.0
@@ -184,9 +190,6 @@ class PowerAwareRM:
             return self._power_worst_case(job)
         return self._power_floor(job)
 
-    def _admissible(self, job: Job, committed_w: float) -> bool:
-        return committed_w + self._power_need(job) <= self.total_power_w * (1 + 1e-9)
-
     # -- the event loop -----------------------------------------------------------
 
     def run(self, requests: list[JobRequest]) -> ScheduleResult:
@@ -206,7 +209,7 @@ class PowerAwareRM:
         now = 0.0
 
         def committed_floor() -> float:
-            return sum(self._power_need(st.job) for st in running.values())
+            return sum(st.need_w for st in running.values())
 
         def try_start() -> bool:
             started = False
@@ -217,11 +220,17 @@ class PowerAwareRM:
                     continue
                 alloc = sched.allocate(req.name, req.n_modules)
                 job = Job(req.name, req.app, alloc)
-                if not self._admissible(job, committed_floor()):
+                need_w = self._power_need(job)
+                if committed_floor() + need_w > self.total_power_w * (1 + 1e-9):
                     sched.release(req.name)
                     still_queued.append(req)
                     continue
-                running[req.name] = _Running(job=job, start_s=now)
+                running[req.name] = _Running(
+                    job=job,
+                    start_s=now,
+                    pmt=_job_pmt(self.system, job, self.scheme, self.pvt),
+                    need_w=need_w,
+                )
                 started = True
             queue[:] = still_queued
             return started
@@ -229,19 +238,16 @@ class PowerAwareRM:
         def rebudget() -> None:
             if not running:
                 return
-            jobs = [st.job for st in running.values()]
-            partition = partition_power(
-                self.system,
-                jobs,
+            partition = _partition_power(
+                [st.job for st in running.values()],
                 self.total_power_w,
+                {name: st.pmt for name, st in running.items()},
                 policy=self.partition_policy,
-                scheme=self.scheme,
-                pvt=self.pvt,
             )
             for name, st in running.items():
                 st.budget_w = partition.job_budget_w[name]
-                st.rate = job_progress_rate(
-                    self.system, st.job, self.scheme, self.pvt, st.budget_w
+                st.rate = _job_progress_rate(
+                    st.job, st.pmt, st.budget_w, self.system.arch.fmax
                 )
 
         while pending or queue or running:

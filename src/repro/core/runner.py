@@ -4,10 +4,11 @@
 for a batch of (scheme, budget) configs of one (system, application);
 :func:`run_budgeted` is the one-config case:
 
-1. plan — :meth:`Scheme.allocate_batched
-   <repro.core.schemes.Scheme.allocate_batched>` builds the scheme's PMT
-   (PVT + single-module test runs, oracle, or TDP defaults) and solves
-   for α and the module-level allocations (Eq 5–9), returning one
+1. plan — as in :meth:`Scheme.allocate_batched
+   <repro.core.schemes.Scheme.allocate_batched>`, build the scheme's PMT
+   (PVT + single-module test runs, oracle, or TDP defaults; once per
+   ``pmt_kind`` in the batch) and solve for α and the module-level
+   allocations (Eq 5–9), returning one
    :class:`~repro.core.schemes.PowerAllocation` per budget;
 2. actuate — RAPL caps (PC) or a pinned common frequency (FS);
 3. simulate the application on the realised per-module work rates;
@@ -39,6 +40,7 @@ from repro.cluster.system import System
 from repro.control.rapl_cap import RaplCapController
 from repro.core.budget import BudgetSolution
 from repro.core.pmmd import InstrumentedApp
+from repro.core.pmt import PowerModelTable
 from repro.core.pvt import PowerVariationTable
 from repro.core.schemes import Scheme, get_scheme
 from repro.errors import InfeasibleBudgetError
@@ -416,8 +418,9 @@ def run_budgeted_batched(
     """Run many (scheme, budget) configs of one app in a single batched pass.
 
     ``configs`` is a sequence of ``(scheme_or_name, budget_w)`` pairs.
-    Planning is grouped per scheme (one PMT build + one batched α-solve
-    each, :meth:`Scheme.allocate_batched`), actuation stays per config
+    Planning is grouped per scheme (one batched α-solve each, as in
+    :meth:`Scheme.allocate_batched`) on one PMT build per ``pmt_kind``
+    in the batch, actuation stays per config
     (the RAPL dither stream is keyed by app/scheme/budget), and all
     simulations execute as one 2-D vectorised pass
     (:func:`~repro.simmpi.fastpath.simulate_app_batched`).
@@ -450,22 +453,27 @@ def run_budgeted_batched(
         truth = _truth_view(system, model)
         arch = system.arch
 
-        # One batched plan per distinct scheme in the batch.
+        # One batched plan per distinct scheme in the batch, and one PMT
+        # per distinct pmt_kind: the build depends only on the kind, so
+        # VaPc/VaFs share the calibrated PMT and VaPcOr/VaFsOr the oracle.
         allocations: list = [None] * n_configs
         by_scheme: dict[str, list[int]] = {}
         schemes: dict[str, Scheme] = {}
         for i, (scheme, _b) in enumerate(resolved):
             by_scheme.setdefault(scheme.name, []).append(i)
             schemes[scheme.name] = scheme
+        pmts: dict[str, PowerModelTable] = {}
         for name, idxs in by_scheme.items():
+            scheme = schemes[name]
             with telemetry.span("run.plan", scheme=name):
-                plans = schemes[name].allocate_batched(
-                    system,
-                    model,
+                pmt = pmts.get(scheme.pmt_kind)
+                if pmt is None:
+                    pmt = pmts[scheme.pmt_kind] = scheme.build_pmt(
+                        system, model, pvt=pvt, test_module=test_module, noisy=noisy
+                    )
+                plans = scheme._plan_batched(
+                    pmt,
                     [resolved[i][1] for i in idxs],
-                    pvt=pvt,
-                    test_module=test_module,
-                    noisy=noisy,
                     fs_guardband_frac=fs_guardband_frac,
                     chunk_modules=chunk_modules,
                 )

@@ -229,6 +229,28 @@ class Scheme:
         floor for a feasible one.  Infeasible budgets carry the derated
         budget in their error.
         """
+        pmt = self.build_pmt(
+            _as_system(fleet), app, pvt=pvt, test_module=test_module, noisy=noisy
+        )
+        return self._plan_batched(
+            pmt,
+            budgets_w,
+            fs_guardband_frac=fs_guardband_frac,
+            chunk_modules=chunk_modules,
+        )
+
+    def _plan_batched(
+        self,
+        pmt: PowerModelTable,
+        budgets_w,
+        *,
+        fs_guardband_frac: float = 0.02,
+        chunk_modules: int | None = None,
+    ) -> list["PowerAllocation | InfeasibleBudgetError"]:
+        """:meth:`allocate_batched` on an already-built PMT: the FS
+        derating plus one batched α-solve.  Lets a caller planning
+        several schemes of one ``pmt_kind`` (VaPc and VaFs, VaPcOr and
+        VaFsOr) build their shared PMT once."""
         budgets = np.atleast_1d(np.asarray(budgets_w, dtype=float))
         with telemetry.span(
             "scheme.allocate_batched",
@@ -236,10 +258,6 @@ class Scheme:
             n_budgets=int(budgets.size),
         ):
             telemetry.count(f"scheme.allocate[{self.name}]", int(budgets.size))
-            system = _as_system(fleet)
-            pmt = self.build_pmt(
-                system, app, pvt=pvt, test_module=test_module, noisy=noisy
-            )
             fs_derated = self.actuation == "fs" and fs_guardband_frac > 0.0
             if fs_derated:
                 # The guardband must not turn a feasible budget

@@ -12,7 +12,12 @@ result can stand in for a live run.
 Entries are single ``.npz`` files named by the SHA-256 digest of the
 key's canonical JSON (plus :data:`CACHE_SCHEMA_VERSION`), written
 atomically (temp file + ``os.replace``) so concurrent workers can never
-observe a torn entry.  Canonicalisation hashes *bytes*, not reprs:
+observe a torn entry.  An entry torn or corrupted some other way (a
+truncated file, a flipped byte that fails a member's CRC-32, a header
+the reader does not accept) reads as a miss, so the run executes again
+and its entry is rewritten.  Reads decode the archive in one file read
+and hand back writable arrays, bit-identical to :func:`numpy.load`.
+Canonicalisation hashes *bytes*, not reprs:
 floats are encoded as their little-endian IEEE-754 image and numpy
 scalars are demoted to the Python value they wrap, so a key built from
 ``np.float64(96000.0)`` on one platform addresses the same entry as one
@@ -29,14 +34,17 @@ once.
 
 from __future__ import annotations
 
+import ast
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
 import struct
 import tempfile
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -155,15 +163,21 @@ class RunKey:
         as IEEE-754 bytes, so the digest is a function of the key's
         *values*, never of scalar types or float formatting.
         """
-        d = asdict(self)
-        d.pop("label")
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "label"}
         d["schema"] = CACHE_SCHEMA_VERSION
-        d["arch_overrides"] = [list(p) for p in self.arch_overrides]
-        d["app_overrides"] = [list(p) for p in self.app_overrides]
         return _canon(d)
 
     def digest(self) -> str:
-        """SHA-256 content hash of the canonical form (the cache address)."""
+        """SHA-256 content hash of the canonical form (the cache address).
+
+        Computed once per key: the key is frozen, so the digest is
+        cached on the instance (a pickled key carries it along;
+        :func:`dataclasses.replace` builds a new key and a new digest).
+        """
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -238,6 +252,93 @@ def payload_to_result(meta: dict, arrays: dict[str, np.ndarray]) -> RunResult:
     )
 
 
+# -- NPZ reader ------------------------------------------------------------------
+
+#: What a torn, truncated or corrupt entry can raise while it is read
+#: and decoded: all of it reads as a miss.  ``zipfile`` checks every
+#: member's CRC-32, so a flipped payload byte raises ``BadZipFile``; a
+#: flipped header field can also name a zip version or feature it does
+#: not implement.
+_CORRUPT = (
+    OSError,
+    ValueError,
+    KeyError,
+    EOFError,
+    NotImplementedError,
+    zipfile.BadZipFile,
+)
+
+
+@functools.lru_cache(maxsize=256)
+def _npy_header(header: bytes) -> tuple[np.dtype, tuple[int, ...], bool]:
+    """``(dtype, shape, fortran_order)`` of one ``.npy`` header dict.
+
+    Entries repeat a handful of headers (one per array field and fleet
+    size), so each distinct header is parsed once.  Object dtypes are
+    rejected: a cache entry never holds pickled data.
+    """
+    try:
+        d = ast.literal_eval(header.decode("latin1"))
+        dtype = np.lib.format.descr_to_dtype(d["descr"])
+    except (SyntaxError, TypeError) as err:
+        raise ValueError(f"malformed npy header {header!r}") from err
+    if not isinstance(d, dict) or set(d) != {"descr", "fortran_order", "shape"}:
+        raise ValueError(f"malformed npy header {header!r}")
+    shape, fortran = d["shape"], d["fortran_order"]
+    if dtype.hasobject:
+        raise ValueError("object arrays are never cached")
+    if not (
+        isinstance(shape, tuple)
+        and all(isinstance(n, int) and n >= 0 for n in shape)
+        and isinstance(fortran, bool)
+    ):
+        raise ValueError(f"malformed npy header {header!r}")
+    return dtype, shape, fortran
+
+
+def _npy_array(raw: bytes) -> np.ndarray:
+    """Decode one ``.npy`` member into a writable array (formats 1.0 and
+    2.0, the ones :func:`numpy.savez` writes for non-structured dtypes)."""
+    if len(raw) < 12 or raw[:6] != b"\x93NUMPY":
+        raise ValueError("not an npy member")
+    if raw[6] == 1:
+        (hlen,), start = struct.unpack_from("<H", raw, 8), 10
+    elif raw[6] == 2:
+        (hlen,), start = struct.unpack_from("<I", raw, 8), 12
+    else:
+        raise ValueError(f"unsupported npy format version {raw[6]}")
+    dtype, shape, fortran = _npy_header(raw[start : start + hlen])
+    offset = start + hlen
+    count = int(np.prod(shape, dtype=np.int64))
+    if len(raw) - offset != count * dtype.itemsize:
+        raise ValueError("npy payload size does not match its header")
+    flat = np.frombuffer(raw, dtype=dtype, count=count, offset=offset)
+    if fortran:
+        return flat.reshape(shape[::-1]).transpose().copy(order="F")
+    return flat.reshape(shape).copy()
+
+
+def _read_npz(path: Path) -> dict[str, np.ndarray]:
+    """Every array of an ``.npz`` file, read with one file read.
+
+    The same arrays, bit for bit, as :func:`numpy.load` with
+    ``allow_pickle=False``, but without its per-member seeks and header
+    re-parsing.
+    """
+    with zipfile.ZipFile(io.BytesIO(path.read_bytes())) as zf:
+        out = {}
+        for info in zf.infolist():
+            # numpy.savez stores members uncompressed and unencrypted.
+            if (
+                not info.filename.endswith(".npy")
+                or info.compress_type != zipfile.ZIP_STORED
+                or info.flag_bits & 0x1
+            ):
+                raise ValueError(f"unexpected npz member {info.filename!r}")
+            out[info.filename[: -len(".npy")]] = _npy_array(zf.read(info))
+        return out
+
+
 class ResultCache:
     """Directory of ``<digest>.npz`` entries, one per :class:`RunKey`.
 
@@ -266,21 +367,15 @@ class ResultCache:
         Raises :class:`InfeasibleBudgetError` when the cached entry
         records that this key's budget is infeasible.
         """
-        path = self._path(key)
         try:
-            data = np.load(path, allow_pickle=False)
-        except (FileNotFoundError, OSError, ValueError):
-            return None  # missing or torn/corrupt entry == miss
-        try:
-            meta = json.loads(str(data["meta"][()]))
-            if meta.get("kind") == "infeasible":
-                raise InfeasibleBudgetError(meta["budget_w"], meta["floor_w"])
-            arrays = {k: data[k] for k in data.files if k != "meta"}
-            return payload_to_result(meta, arrays)
-        except KeyError:
-            return None
-        finally:
-            data.close()
+            arrays = _read_npz(self._path(key))
+            meta = json.loads(str(arrays.pop("meta")[()]))
+            if meta.get("kind") != "infeasible":
+                return payload_to_result(meta, arrays)
+            exc = InfeasibleBudgetError(meta["budget_w"], meta["floor_w"])
+        except _CORRUPT:
+            return None  # missing, torn or corrupt entry == miss
+        raise exc
 
     def put(self, key: RunKey, result: RunResult) -> None:
         """Store ``result`` under ``key`` (atomic; last writer wins)."""

@@ -481,9 +481,10 @@ class ExperimentEngine:
 
         Pending budgeted keys sharing a :func:`_group_signature` execute
         as **one** :func:`~repro.core.runner.run_budgeted_batched` pass
-        per group — one fleet build, one PMT + batched α-solve per
-        scheme, one 2-D simulation.  Uncapped keys and singleton groups
-        run one at a time through :func:`execute_key`.  With
+        per group — one fleet build, one PMT per ``pmt_kind``, one
+        batched α-solve per scheme, one 2-D simulation.  Uncapped keys
+        and singleton groups run one at a time through
+        :func:`execute_key`.  With
         ``jobs > 1`` each distinct fleet ships to the worker pool once
         through :mod:`repro.exec.shared` (zero-copy shared-memory views)
         and each group or single key is one pool task.

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.cluster.system import System
 from repro.cluster.workloads import WorkloadSpec, generate_workload
-from repro.core.resource_manager import PowerAwareRM
+from repro.core.pvt import PowerVariationTable
+from repro.core.resource_manager import PowerAwareRM, ScheduleResult
 from repro.exec import (
     ExperimentEngine,
     SharedFleet,
@@ -73,6 +75,21 @@ def _run_schedule(
         base, base_pvt = attach_fleet(handle), fleet_pvt(handle)
     else:
         base, base_pvt = ha8k(1920), ha8k_pvt(1920)
+    res = _schedule(base, base_pvt, n_modules, n_jobs, ia, cm_w, admission)
+    return res.makespan_s, res.mean_wait_s, res.mean_turnaround_s
+
+
+def _schedule(
+    base: System,
+    base_pvt: PowerVariationTable,
+    n_modules: int,
+    n_jobs: int,
+    ia: float,
+    cm_w: float,
+    admission: str,
+) -> ScheduleResult:
+    """The job stream at one offered load, scheduled by one admission
+    policy on the first ``n_modules`` modules of ``base``."""
     system = base.subset(range(n_modules))
     pvt = base_pvt.take(range(n_modules))
     spec = WorkloadSpec(
@@ -82,10 +99,9 @@ def _run_schedule(
         max_modules=n_modules // 3,
     )
     requests = generate_workload(spec, system.rng.rng(f"workload/{ia}"))
-    res = PowerAwareRM(system, pvt, cm_w * n_modules, admission=admission).run(
+    return PowerAwareRM(system, pvt, cm_w * n_modules, admission=admission).run(
         requests
     )
-    return res.makespan_s, res.mean_wait_s, res.mean_turnaround_s
 
 
 def run_throughput(

@@ -26,3 +26,20 @@ def ha8k_full():
 @pytest.fixture(scope="session")
 def pvt_full(ha8k_full):
     return generate_pvt(ha8k_full)
+
+
+@pytest.fixture
+def pmt_builds(monkeypatch):
+    """Spy on :meth:`Scheme.build_pmt`: the list of ``(pmt_kind, app
+    name, n_modules)`` of every PMT built while the test runs."""
+    from repro.core.schemes import Scheme
+
+    builds = []
+    original = Scheme.build_pmt
+
+    def spy(self, system, app, **kwargs):
+        builds.append((self.pmt_kind, app.name, system.n_modules))
+        return original(self, system, app, **kwargs)
+
+    monkeypatch.setattr(Scheme, "build_pmt", spy)
+    return builds

@@ -65,3 +65,12 @@ class TestRunDynamic:
         jobs = [Job("solo", get_app("sp"), sched.allocate("solo", 64))]
         res = run_dynamic(ha8k_small, jobs, 60.0 * 64, pvt=pvt_small)
         assert res.makespan_speedup == pytest.approx(1.0)
+
+
+def test_one_pmt_per_job(setup, pmt_builds):
+    """Each job's PMT is built once and serves the initial partition,
+    the static rates and every re-partition after a completion."""
+    system, pvt, jobs = setup
+    res = run_dynamic(system, jobs, 65.0 * 96, pvt=pvt)
+    assert len(res.dynamic["long-mhd"].epochs) >= 2
+    assert sorted(app for _, app, _ in pmt_builds) == ["bt", "mhd"]

@@ -103,3 +103,21 @@ class TestOverprovisioningArgument:
         worst = PowerAwareRM(system, pvt, total, admission="worst-case").run(reqs)
         assert aware.makespan_s < worst.makespan_s
         assert aware.mean_wait_s <= worst.mean_wait_s
+
+
+class TestPmtBuilds:
+    @pytest.mark.parametrize("admission", ["power-aware", "worst-case"])
+    def test_one_pmt_per_admitted_job(self, rm_args, pmt_builds, admission):
+        """A job's PMT is built when it is admitted and reused at every
+        later re-partition, however many events it lives through."""
+        system, pvt = rm_args
+        reqs = [
+            JobRequest("a", get_app("mhd"), 24, arrival_s=0.0),
+            JobRequest("b", get_app("bt"), 24, arrival_s=1.0),
+            JobRequest("c", get_app("sp"), 24, arrival_s=2.0),
+            JobRequest("d", get_app("mvmc"), 24, arrival_s=3.0),
+        ]
+        res = PowerAwareRM(system, pvt, 62.0 * 96, admission=admission).run(reqs)
+        assert set(res.outcomes) == {"a", "b", "c", "d"}
+        assert sorted(app for _, app, _ in pmt_builds) == ["bt", "mhd", "mvmc", "sp"]
+        assert all(n == 24 for _, _, n in pmt_builds)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apps.registry import get_app
 from repro.core.pmmd import instrument
-from repro.core.runner import run_budgeted, run_uncapped
+from repro.core.runner import run_budgeted, run_budgeted_batched, run_uncapped
 from repro.core.schemes import ALL_SCHEMES, Scheme, get_scheme, list_schemes
 from repro.errors import ConfigurationError, InfeasibleBudgetError
 
@@ -207,3 +207,23 @@ class TestHeadlineNumbers:
         vapc = run_budgeted(ha8k_full, app, "vapc", budget, pvt=pvt_full, n_iters=15)
         assert 3.5 <= vafs.speedup_over(naive) <= 7.0
         assert 2.0 <= vapc.speedup_over(naive) <= 5.5
+
+
+class TestPmtBuildsPerBatch:
+    def test_six_schemes_build_one_pmt_per_kind(
+        self, ha8k_small, pvt_small, pmt_builds
+    ):
+        """VaPc/VaFs share the calibrated PMT and VaPcOr/VaFsOr the
+        oracle one, so the six schemes plan on four PMTs."""
+        app = get_app("bt")
+        configs = [(name, 60.0 * 96) for name in ALL_SCHEMES]
+        batched = run_budgeted_batched(ha8k_small, app, configs, pvt=pvt_small)
+        assert sorted(kind for kind, _, _ in pmt_builds) == [
+            "calibrated", "naive", "oracle", "uniform",
+        ]
+        for (name, budget), got in zip(configs, batched):
+            alone = run_budgeted(ha8k_small, app, name, budget, pvt=pvt_small)
+            assert got.solution.alpha == alone.solution.alpha
+            assert np.array_equal(got.solution.pcpu_w, alone.solution.pcpu_w)
+            assert np.array_equal(got.cpu_power_w, alone.cpu_power_w)
+            assert np.array_equal(got.trace.total_s, alone.trace.total_s)

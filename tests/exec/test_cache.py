@@ -7,14 +7,19 @@ through the on-disk NPZ format.
 """
 
 import dataclasses
+import io
+import json
+import pickle
+import struct
+import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, InfeasibleBudgetError
-from repro.exec import ResultCache, RunKey, execute_key
-from repro.exec.cache import payload_to_result, result_to_payload
+from repro.exec import ExperimentEngine, ResultCache, RunKey, execute_key
+from repro.exec.cache import _read_npz, payload_to_result, result_to_payload
 
 # -- RunKey strategies --------------------------------------------------------
 
@@ -140,6 +145,29 @@ class TestRunKeyDigest:
         assert a == b
         assert a.digest() == b.digest()
 
+    def test_digest_survives_pickle(self):
+        key = RunKey(
+            system="ha8k", n_modules=1920, seed=2015, app="bt",
+            scheme="vafs", budget_w=96000.0,
+        )
+        unhashed = pickle.loads(pickle.dumps(key))  # before any digest
+        fresh = key.digest()
+        clone = pickle.loads(pickle.dumps(key))  # carries the digest
+        assert clone == key == unhashed
+        assert clone.digest() == unhashed.digest() == fresh
+
+    def test_replace_gets_a_fresh_digest(self):
+        key = RunKey(
+            system="ha8k", n_modules=1920, seed=2015, app="bt",
+            scheme="vafs", budget_w=96000.0,
+        )
+        cached = key.digest()
+        moved = dataclasses.replace(key, budget_w=80000.0)
+        assert moved.digest() != cached
+        assert moved.digest() == dataclasses.replace(moved).digest()
+        assert dataclasses.replace(moved, budget_w=96000.0).digest() == cached
+        assert key.digest() == cached
+
     def test_half_specified_budget_rejected(self):
         with pytest.raises(ConfigurationError):
             RunKey(
@@ -223,8 +251,106 @@ class TestSerialization:
         (tmp_path / f"{key.digest()}.npz").write_bytes(b"not an npz file")
         assert cache.get(key) is None
 
+    def test_object_dtype_member_reads_as_miss(self, tmp_path):
+        key = _small_key()
+        cache = ResultCache(tmp_path)
+        meta, arrays = result_to_payload(execute_key(key))
+        arrays["cap_met"] = arrays["cap_met"].astype(object)
+        np.savez(
+            tmp_path / f"{key.digest()}.npz",
+            meta=np.array(json.dumps(meta)),
+            **arrays,
+        )
+        with pytest.raises(ValueError, match="allow_pickle"):
+            np.load(tmp_path / f"{key.digest()}.npz")["cap_met"]
+        assert cache.get(key) is None
+
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_small_key(), execute_key(_small_key()))
         assert cache.clear() == 1
         assert len(cache) == 0
+
+
+def _first_payload_byte(blob: bytes) -> int:
+    """Offset of the first array byte of an entry's first member."""
+    i = blob.index(b"\x93NUMPY")
+    (hlen,) = struct.unpack_from("<H", blob, i + 8)
+    return i + 10 + hlen
+
+
+class TestTornEntries:
+    """A torn or corrupted entry is a miss: the run executes again and
+    its entry is rewritten whole."""
+
+    def _torn(self, tmp_path, corrupt):
+        key = _small_key()
+        want = execute_key(key)
+        engine = ExperimentEngine(cache_dir=str(tmp_path))
+        engine.run(key)
+        path = tmp_path / f"{key.digest()}.npz"
+        good = path.read_bytes()
+        path.write_bytes(corrupt(good))
+        assert engine.cache.get(key) is None
+        _assert_results_identical(engine.run(key), want)
+        assert path.read_bytes() == good
+        _assert_results_identical(engine.cache.get(key), want)
+        return good
+
+    @pytest.mark.parametrize("keep", [0, 1, 30, "half", -22, -1])
+    def test_truncated_entry(self, tmp_path, keep):
+        """Cut inside the first local header, a payload, and the
+        end-of-archive record."""
+        self._torn(
+            tmp_path,
+            lambda blob: blob[: len(blob) // 2 if keep == "half" else keep],
+        )
+
+    def test_flipped_payload_byte_fails_the_crc(self, tmp_path):
+        def flip(blob):
+            out = bytearray(blob)
+            out[_first_payload_byte(blob)] ^= 0x01
+            corrupt = bytes(out)
+            with zipfile.ZipFile(io.BytesIO(corrupt)) as zf:
+                with pytest.raises(zipfile.BadZipFile, match="CRC"):
+                    zf.read(zf.namelist()[0])
+            return corrupt
+
+        self._torn(tmp_path, flip)
+
+    def test_sweep_reexecutes_a_torn_entry(self, tmp_path):
+        keys = [_small_key(scheme=s) for s in ("vapc", "vafs")]
+        engine = ExperimentEngine(cache_dir=str(tmp_path))
+        want = engine.submit_sweep(keys)
+        path = tmp_path / f"{keys[1].digest()}.npz"
+        good = path.read_bytes()
+        path.write_bytes(good[: len(good) // 2])
+        for got, ref in zip(engine.submit_sweep(keys), want):
+            _assert_results_identical(got, ref)
+        assert path.read_bytes() == good
+
+
+class TestLeanReader:
+    def test_matches_np_load_on_every_entry(self, tmp_path):
+        """Every member of every entry of a small sweep — budgeted,
+        uncapped and infeasible — decodes to the array ``np.load``
+        reads: same dtype, shape and bytes, and writable."""
+        keys = [_small_key(scheme=s) for s in ("naive", "vapc", "vafs", "vafsor")]
+        keys += [_small_key(scheme=None, budget_w=None), _small_key(budget_w=1.0)]
+        engine = ExperimentEngine(cache_dir=str(tmp_path))
+        out = engine.submit_sweep(keys, skip_infeasible=True)
+        assert out[-1] is None
+        paths = sorted(tmp_path.glob("*.npz"))
+        assert len(paths) == len(keys)
+        for path in paths:
+            got = _read_npz(path)
+            with np.load(path, allow_pickle=False) as ref:
+                assert sorted(got) == sorted(ref.files)
+                for name in ref.files:
+                    want = ref[name]
+                    assert got[name].dtype == want.dtype
+                    assert got[name].shape == want.shape
+                    assert got[name].tobytes() == want.tobytes()
+                    assert got[name].flags.writeable
+        with pytest.raises(InfeasibleBudgetError):
+            engine.cache.get(keys[-1])

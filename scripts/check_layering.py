@@ -7,16 +7,17 @@ The array-first refactor depends on a one-way flow between layers:
     measurement, control, simmpi                    substrate; hardware only
     core, cluster, apps                             budgeting framework
     exec, service, experiments, cli                 orchestration; may import anything
-    telemetry ->  (errors, util)                    pure leaf; importable from anywhere
+    telemetry ->  (errors, util)                    pure leaf; no layer is forbidden to import it
 
 This script parses every module under ``src/repro`` with :mod:`ast`
 (no imports are executed) and fails if any package gains an import edge
-not present in the allowlist below.  The allowlist is a *ratchet*: it
-encodes the graph as it stands — including two grandfathered cycles
+not present in the allowlist below, or if the allowlist holds an edge
+that no import uses.  The allowlist is a *ratchet*: it encodes the
+graph exactly as it stands — including two grandfathered cycles
 (``cluster <-> core`` and ``apps <-> cluster``, both mediated through
-late imports and type-only uses) — and edges may be removed as layers
-untangle, but adding one requires editing this file, which is the
-point: layering violations become a reviewed decision, not drift.
+late imports and type-only uses) — so an edge must be removed when its
+last import goes, and adding one requires editing this file, which is
+the point: layering violations become a reviewed decision, not drift.
 
 The hard rule the contract exists to protect: ``hardware`` (the ground
 truth the schemes are only allowed to observe through measurement) must
@@ -41,14 +42,14 @@ ALLOWED: dict[str, set[str]] = {
     # Ground truth: the physical model.  NOTHING from the budgeting
     # framework or above — schemes may only learn about hardware through
     # measurement (the PVT) or declared oracle access.
-    "hardware": {"errors", "telemetry", "util"},
+    "hardware": {"errors", "util"},
     # Substrate over hardware.
-    "measurement": {"errors", "hardware", "telemetry"},
-    "control": {"errors", "hardware", "telemetry"},
+    "measurement": {"errors", "hardware"},
+    "control": {"errors", "hardware"},
     "simmpi": {"errors", "telemetry", "util"},
     # Budgeting framework.  cluster <-> core and apps <-> cluster are
     # grandfathered cycles (ratchet: remove when untangled, never add).
-    "apps": {"cluster", "errors", "hardware", "simmpi", "telemetry"},
+    "apps": {"cluster", "errors", "hardware", "simmpi"},
     "cluster": {
         "apps",
         "control",
@@ -56,7 +57,6 @@ ALLOWED: dict[str, set[str]] = {
         "errors",
         "hardware",
         "measurement",
-        "telemetry",
         "util",
     },
     "core": {
@@ -90,7 +90,6 @@ ALLOWED: dict[str, set[str]] = {
         "core",
         "errors",
         "exec",
-        "hardware",
         "telemetry",
         "util",
     },
@@ -108,8 +107,9 @@ ALLOWED: dict[str, set[str]] = {
         "util",
     },
     "cli": {"experiments", "errors", "service", "telemetry", "util", "repro"},
-    # Leaves.  telemetry is observation-only: any layer may import it,
-    # but it must never import the things it observes (see FORBIDDEN).
+    # Leaves.  telemetry is observation-only: no layer is forbidden to
+    # import it, but it must never import the things it observes (see
+    # FORBIDDEN).
     "errors": set(),
     "util": {"errors"},
     "telemetry": {"errors", "util"},
@@ -124,7 +124,6 @@ ALLOWED: dict[str, set[str]] = {
         "hardware",
         "service",
         "telemetry",
-        "util",
     },
 }
 
@@ -262,7 +261,17 @@ def check_device_rules() -> list[str]:
 def check() -> list[str]:
     """Return a list of violation messages (empty = contract holds)."""
     violations = check_device_rules()
-    for src, dst, path, lineno in collect_edges():
+    edges = collect_edges()
+    used = {(src, dst) for src, dst, _path, _lineno in edges}
+    for src in sorted(ALLOWED):
+        for dst in sorted(ALLOWED[src]):
+            if (src, dst) not in used:
+                violations.append(
+                    f"scripts/check_layering.py: {src} -> {dst}: allowed but "
+                    "no import uses it — the ratchet holds only edges in "
+                    "use; remove it from the allowlist"
+                )
+    for src, dst, path, lineno in edges:
         if src not in ALLOWED:
             violations.append(
                 f"{path}:{lineno}: unknown layer {src!r} — register it in "
@@ -288,7 +297,10 @@ def main() -> int:
         for v in violations:
             print(f"  {v}", file=sys.stderr)
         return 1
-    print(f"layering OK ({len(collect_edges())} intra-package edges checked)")
+    print(
+        f"layering OK ({len(collect_edges())} intra-package imports checked "
+        f"against {sum(map(len, ALLOWED.values()))} allowed edges)"
+    )
     return 0
 
 

@@ -76,17 +76,6 @@ class BudgetSolution:
         return float(self.pmodule_w.sum())
 
 
-def _raw_alpha(floor: float, span: float, budget_w: float) -> float:
-    """Eq (6)'s right-hand side, unclamped.
-
-    ``span <= 0`` is the degenerate single-frequency case (e.g. BG/Q):
-    power is fixed; the budget either accommodates it or nothing runs.
-    """
-    if span <= 0.0:
-        return 1.0 if budget_w >= floor else -1.0
-    return (budget_w - floor) / span
-
-
 def solve_alpha(
     model: LinearPowerModel,
     budget_w: float,
@@ -95,52 +84,20 @@ def solve_alpha(
 ) -> BudgetSolution:
     """Solve Eq (6) and derive the per-module allocations (Eq 7–9).
 
-    This is the single α-solve for every scale.  The whole fleet is
-    evaluated as array operations; ``chunk_modules`` is purely a memory
-    knob: ``None`` (the default) uses fused whole-fleet expressions,
-    while an integer bounds peak *temporary* memory to
-    O(``chunk_modules``) by accumulating the Eq (5)/(6) aggregates
-    chunk-wise and writing the Eq (7)–(9) allocations slice-by-slice
-    into preallocated outputs (the returned per-module arrays are still
-    O(n) — they are the *result*).  The fleet-scale sweeps (10k–200k
-    modules) set it so a solve never materialises several fleet-sized
-    temporaries at once; per-element allocation values are bit-identical
-    either way, and the aggregates differ only by summation association.
+    A one-budget :func:`solve_alpha_batched`.  ``chunk_modules`` sets
+    how the Eq (5)/(6) sums are blocked (``None``: one fused reduction;
+    an integer: chunk partial sums, which differ from the fused pass
+    only by summation association); the Eq (7)–(9) allocations are one
+    broadcast either way.
 
     Raises
     ------
     InfeasibleBudgetError
         If the budget lies below the fmin power floor (Table 4 "–").
     """
-    with telemetry.span("solve_alpha", budget_w=float(budget_w)) as sp:
-        if not np.isfinite(budget_w) or budget_w <= 0:
-            raise InfeasibleBudgetError(budget_w, model.total_min_w())
-        floor, span = model.floor_and_span_w(chunk_modules=chunk_modules)
-
-        raw = _raw_alpha(floor, span, budget_w)
-        if raw < 0.0:
-            raise InfeasibleBudgetError(budget_w, floor)
-        alpha = min(raw, 1.0)
-
-        pcpu, pdram = model.allocations_at(alpha, chunk_modules=chunk_modules)
-        telemetry.count("budget.solve_alpha")
-        telemetry.gauge("budget.alpha", alpha)
-        telemetry.observe("budget.modules", pcpu.size)
-        if chunk_modules is not None:
-            telemetry.observe(
-                "budget.chunks", -(-pcpu.size // max(int(chunk_modules), 1))
-            )
-        sp.set(alpha=round(alpha, 6), constrained=raw < 1.0, modules=int(pcpu.size))
-        return BudgetSolution(
-            alpha=alpha,
-            raw_alpha=raw,
-            constrained=raw < 1.0,
-            freq_ghz=model.freq_at(alpha),
-            pmodule_w=pcpu + pdram,
-            pcpu_w=pcpu,
-            pdram_w=pdram,
-            budget_w=float(budget_w),
-        )
+    return solve_alpha_batched(
+        model, [budget_w], chunk_modules=chunk_modules
+    ).solution(0)
 
 
 @dataclass(frozen=True)
@@ -150,9 +107,8 @@ class BatchBudgetSolution:
     All per-budget fields are aligned with the ``budgets_w`` the batch
     was solved for; the allocation matrices have shape
     ``(n_budgets, n_modules)``.  Rows whose ``feasible`` flag is False
-    carry undefined allocation values — :meth:`solution` raises the
-    same :class:`~repro.errors.InfeasibleBudgetError` the scalar
-    :func:`solve_alpha` would for that budget.
+    carry undefined allocation values — :meth:`solution` raises
+    :class:`~repro.errors.InfeasibleBudgetError` for them.
     """
 
     budgets_w: np.ndarray
@@ -181,8 +137,8 @@ class BatchBudgetSolution:
         Raises
         ------
         InfeasibleBudgetError
-            If budget *i* was infeasible, with the same (budget, floor)
-            payload the scalar solve would have raised.
+            If budget *i* was infeasible, with its (budget, floor)
+            payload.
         """
         if not bool(self.feasible[i]):
             raise InfeasibleBudgetError(
@@ -207,6 +163,58 @@ class BatchBudgetSolution:
         return [self.solution(i) for i in range(self.n_budgets)]
 
 
+def _solve_eq6(
+    floor: float,
+    span: float,
+    fused_floor: float,
+    fmin: float,
+    fmax: float,
+    budgets: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eq (6) and Eq (1) for many budgets from cached aggregates.
+
+    ``floor``/``span`` are the (possibly chunk-blocked) Eq (5)/(6)
+    sums, ``fused_floor`` the fused ``total_min_w()``.  Returns
+    ``(raw_alphas, alphas, feasible, freq_ghz, floor_w)``, where
+    ``floor_w`` is the floor an infeasible budget reports: the fused
+    one for invalid (non-finite or non-positive) budgets, the blocked
+    one for budgets below it.  ``span <= 0`` is the degenerate
+    single-frequency case (e.g. BG/Q): power is fixed, and the budget
+    either accommodates it or nothing runs.
+    """
+    valid = np.isfinite(budgets) & (budgets > 0.0)
+    if span <= 0.0:
+        raws = np.where(budgets >= floor, 1.0, -1.0)
+    else:
+        raws = (budgets - floor) / span
+    alphas = np.minimum(raws, 1.0)
+    return (
+        raws,
+        alphas,
+        valid & (raws >= 0.0),
+        alphas * (fmax - fmin) + fmin,
+        np.where(valid, floor, fused_floor),
+    )
+
+
+def fs_derate(budgets: np.ndarray, fused_floor: float, frac: float) -> np.ndarray:
+    """The FS planning guardband: plan ``frac`` below each budget.
+
+    Frequency selection cannot *enforce* power (Section 5.3), so FS
+    schemes solve against a derated budget.  The guardband must not
+    turn a feasible budget infeasible (that would just mean "run at
+    fmin"): budgets at or above the fused floor are clamped to it,
+    infeasible ones keep the plain derated value.  ``frac <= 0``
+    plans against the budgets unchanged.
+    """
+    if frac <= 0.0:
+        return budgets
+    derated = budgets * (1.0 - frac)
+    return np.where(
+        budgets >= fused_floor, np.maximum(derated, fused_floor), derated
+    )
+
+
 def solve_alpha_batched(
     model: LinearPowerModel,
     budgets_w,
@@ -215,34 +223,23 @@ def solve_alpha_batched(
 ) -> BatchBudgetSolution:
     """Solve Eq (6)–(9) for *all* budgets in one broadcasted pass.
 
-    The Eq (5)/(6) aggregates are reduced once and shared by every
-    budget; the Eq (7)–(9) allocations are produced as one
-    ``(n_budgets, n_modules)`` broadcast.  Every value is bit-identical
-    to the per-budget :func:`solve_alpha` at the same ``chunk_modules``
-    — the broadcast performs the exact same elementwise multiply-add
-    the scalar path does, and ``raw = (budget − floor) / span`` is the
-    same scalar arithmetic per budget.
+    The Eq (5)/(6) aggregates are reduced once (blocked by
+    ``chunk_modules``, see :meth:`LinearPowerModel.floor_and_span_w`)
+    and shared by every budget; the Eq (7)–(9) allocations are produced
+    as one ``(n_budgets, n_modules)`` broadcast.  Entry ``i`` does not
+    depend on the other budgets.
 
     Infeasible budgets do **not** raise here: the corresponding
     ``feasible`` entries are False and :meth:`BatchBudgetSolution.solution`
-    raises lazily with the exact error payload the scalar solve uses
-    (the fused power floor for invalid budgets, the possibly-chunked
-    Eq (5) floor for budgets below it).
+    raises lazily with the budget and the floor :func:`_solve_eq6`
+    reports for it.
     """
     budgets = np.atleast_1d(np.asarray(budgets_w, dtype=float))
     with telemetry.span("solve_alpha_batched", n_budgets=int(budgets.size)) as sp:
-        valid = np.isfinite(budgets) & (budgets > 0.0)
         floor, span = model.floor_and_span_w(chunk_modules=chunk_modules)
-        if span <= 0.0:
-            raws = np.where(budgets >= floor, 1.0, -1.0)
-        else:
-            raws = (budgets - floor) / span
-        feasible = valid & (raws >= 0.0)
-        alphas = np.minimum(raws, 1.0)
-        # The scalar solve reports the *fused* floor for invalid budgets
-        # (it raises before the chunked aggregation) and the chunked
-        # floor for sub-floor ones; mirror both raise sites exactly.
-        floor_err = np.where(valid, floor, model.total_min_w())
+        raws, alphas, feasible, freqs, floor_err = _solve_eq6(
+            floor, span, model.total_min_w(), model.fmin, model.fmax, budgets
+        )
         pcpu, pdram = model.allocations_at_batch(alphas)
         telemetry.count("budget.solve_alpha_batched")
         telemetry.observe("budget.batch_size", budgets.size)
@@ -256,7 +253,7 @@ def solve_alpha_batched(
             raw_alphas=raws,
             alphas=alphas,
             feasible=feasible,
-            freq_ghz=alphas * (model.fmax - model.fmin) + model.fmin,
+            freq_ghz=freqs,
             pcpu_w=pcpu,
             pdram_w=pdram,
             floor_w=floor_err,
@@ -268,13 +265,10 @@ def classify_constraint(model: LinearPowerModel, budget_w: float) -> str:
 
     Returns ``"X"`` (meaningfully constrained), ``"•"`` (not sufficiently
     power constrained — no capping required), or ``"--"`` (too limited to
-    operate even at fmin).
+    operate even at fmin).  A one-budget
+    :func:`classify_constraint_batched`.
     """
-    if budget_w < model.total_min_w():
-        return "--"
-    if budget_w >= model.total_max_w():
-        return "•"
-    return "X"
+    return classify_constraint_batched(model, [budget_w])[0]
 
 
 def classify_constraint_batched(
@@ -282,9 +276,8 @@ def classify_constraint_batched(
 ) -> list[str]:
     """Table 4 cells for many budgets against one model.
 
-    The floor/ceiling aggregates are reduced once; each cell is the
-    same comparison :func:`classify_constraint` performs, so the
-    results are identical entry-by-entry.
+    The floor/ceiling aggregates are reduced once and each budget is
+    compared against them (see :func:`classify_constraint`).
     """
     budgets = np.atleast_1d(np.asarray(budgets_w, dtype=float))
     floor = model.total_min_w()

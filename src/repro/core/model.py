@@ -195,11 +195,11 @@ class LinearPowerModel:
         """The Eq (5)/(6) aggregates ``(Σ P_min, Σ (P_max − P_min))``.
 
         ``chunk_modules=None`` is the fused whole-fleet reduction.  An
-        integer bounds peak temporary memory to O(``chunk_modules``):
-        chunk partial sums are accumulated and reduced at the end, so
-        the result differs from the fused pass only by floating-point
-        association.  This is the single aggregation routine behind
-        :func:`repro.core.budget.solve_alpha` at every scale.
+        integer blocks the sums: chunk partial sums are accumulated and
+        reduced at the end, so the result differs from the fused pass
+        only by floating-point association.  This is the single
+        aggregation routine behind
+        :func:`repro.core.budget.solve_alpha_batched` at every scale.
         """
         if chunk_modules is None:
             floor = self.total_min_w()
@@ -227,42 +227,11 @@ class LinearPowerModel:
 
         ``alphas`` has shape ``(n_configs,)``; the result arrays have
         shape ``(n_configs, n_modules)``.  Each row is elementwise
-        bit-identical to :meth:`allocations_at` at that row's α — the
-        broadcast performs the exact same scalar multiply-add per
+        :meth:`cpu_power_at` / :meth:`dram_power_at` at that row's α —
+        the broadcast performs the same scalar multiply-add per
         element, so batching changes memory layout, not arithmetic.
         """
         a = np.asarray(alphas, dtype=float)[:, None]
         pcpu = a * (self.p_cpu_max - self.p_cpu_min) + self.p_cpu_min
         pdram = a * (self.p_dram_max - self.p_dram_min) + self.p_dram_min
-        return pcpu, pdram
-
-    def allocations_at(
-        self, alpha: float, *, chunk_modules: int | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Whole-fleet Eq (2)/(3) evaluation: ``(P_cpu, P_dram)`` at α.
-
-        ``chunk_modules=None`` evaluates each equation as one fused
-        array expression; an integer writes the result slice-by-slice
-        into preallocated outputs so no fleet-sized temporary beyond the
-        two results themselves is ever built.  Element values are
-        bit-identical either way — chunking changes temporary lifetimes,
-        not arithmetic.
-        """
-        if chunk_modules is None:
-            return self.cpu_power_at(alpha), self.dram_power_at(alpha)
-        if chunk_modules <= 0:
-            raise ConfigurationError("chunk_modules must be positive")
-        n = self.n_modules
-        pcpu = np.empty(n)
-        pdram = np.empty(n)
-        for lo in range(0, n, chunk_modules):
-            hi = min(lo + chunk_modules, n)
-            pcpu[lo:hi] = (
-                alpha * (self.p_cpu_max[lo:hi] - self.p_cpu_min[lo:hi])
-                + self.p_cpu_min[lo:hi]
-            )
-            pdram[lo:hi] = (
-                alpha * (self.p_dram_max[lo:hi] - self.p_dram_min[lo:hi])
-                + self.p_dram_min[lo:hi]
-            )
         return pcpu, pdram

@@ -372,12 +372,11 @@ def run_budgeted(
         push realised power past the constraint.  PC schemes need no
         planning margin — RAPL enforces the caps in hardware.
     chunk_modules:
-        Memory knob forwarded to the α-solve
-        (:func:`~repro.core.budget.solve_alpha_batched`): when set,
-        aggregates and allocations are evaluated in chunks of this many
-        modules, bounding peak temporary memory at fleet scale (the
-        10k–200k module sweeps).  ``None`` (the default) uses fused
-        whole-fleet expressions.
+        Forwarded to the α-solve
+        (:func:`~repro.core.budget.solve_alpha_batched`): when set, the
+        Eq (5)/(6) sums are blocked in chunks of this many modules (the
+        10k–200k module sweeps set it).  ``None`` (the default) uses one
+        fused reduction.  The allocations are one broadcast either way.
 
     Raises
     ------

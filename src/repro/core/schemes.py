@@ -21,8 +21,8 @@ one-budget form): given the fleet (a :class:`System` or a bare
 it returns one :class:`PowerAllocation` per budget — the scheme's PMT
 plus the α-solve — which :func:`repro.core.runner.run_budgeted_batched`
 consumes for actuation.  Planning is pure array work: the
-PMT is columnar, the α-solve vectorised, and ``chunk_modules`` bounds
-peak temporary memory at fleet scale.
+PMT is columnar and the α-solve vectorised; ``chunk_modules`` sets how
+its Eq (5)/(6) sums are blocked.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.apps.base import AppModel
 from repro.cluster.system import System
-from repro.core.budget import BudgetSolution, solve_alpha_batched
+from repro.core.budget import BudgetSolution, fs_derate, solve_alpha_batched
 from repro.core.pmt import (
     PowerModelTable,
     calibrate_pmt,
@@ -179,7 +179,7 @@ class Scheme:
         :class:`System` or a bare
         :class:`~repro.hardware.ModuleArray` (wrapped in a deterministic
         system — useful for synthetic fleet studies).  ``chunk_modules``
-        bounds peak temporary memory of the α-solve at fleet scale.
+        sets how the α-solve blocks its Eq (5)/(6) sums.
 
         Raises
         ------
@@ -258,22 +258,14 @@ class Scheme:
             n_budgets=int(budgets.size),
         ):
             telemetry.count(f"scheme.allocate[{self.name}]", int(budgets.size))
-            fs_derated = self.actuation == "fs" and fs_guardband_frac > 0.0
-            if fs_derated:
-                # The guardband must not turn a feasible budget
-                # infeasible (it would just mean "run at fmin").
-                derated = budgets * (1.0 - fs_guardband_frac)
-                floor = pmt.model.total_min_w()
-                derated = np.where(
-                    budgets >= floor, np.maximum(derated, floor), derated
+            solve_on = budgets
+            if self.actuation == "fs":
+                solve_on = fs_derate(
+                    budgets, pmt.model.total_min_w(), fs_guardband_frac
                 )
-                batch = solve_alpha_batched(
-                    pmt.model, derated, chunk_modules=chunk_modules
-                )
-            else:
-                batch = solve_alpha_batched(
-                    pmt.model, budgets, chunk_modules=chunk_modules
-                )
+            batch = solve_alpha_batched(
+                pmt.model, solve_on, chunk_modules=chunk_modules
+            )
             out: list[PowerAllocation | InfeasibleBudgetError] = []
             for i in range(budgets.size):
                 try:
@@ -281,17 +273,9 @@ class Scheme:
                 except InfeasibleBudgetError as err:
                     out.append(err)
                     continue
-                if fs_derated:
-                    sol = BudgetSolution(
-                        alpha=sol.alpha,
-                        raw_alpha=sol.raw_alpha,
-                        constrained=sol.constrained,
-                        freq_ghz=sol.freq_ghz,
-                        pmodule_w=sol.pmodule_w,
-                        pcpu_w=sol.pcpu_w,
-                        pdram_w=sol.pdram_w,
-                        budget_w=float(budgets[i]),
-                    )
+                if solve_on is not budgets:
+                    # Report the budget asked for, not the derated one.
+                    sol = replace(sol, budget_w=float(budgets[i]))
                 out.append(PowerAllocation(scheme=self, pmt=pmt, solution=sol))
             return out
 

@@ -11,8 +11,8 @@ variation-aware allocation) persist, grow, or wash out with scale.
 
 Scale is only tractable because everything in the loop is vectorised
 over modules: the variation draw, the PMTs, the α-solve
-(:func:`~repro.core.budget.solve_alpha_batched` with its
-``chunk_modules`` memory knob, so peak temporary memory stays bounded),
+(:func:`~repro.core.budget.solve_alpha_batched`, its Eq (5)/(6) sums
+blocked by ``chunk_modules``),
 RAPL cap resolution, and the simulator's bulk-synchronous fast path
 (:mod:`repro.simmpi.fastpath`), which executes the application as
 whole-fleet array operations instead of per-rank Python.  All schemes
@@ -112,7 +112,7 @@ def run_fleet_point(
     (``noisy=False`` — which also routes the simulation through the
     vectorised fast path), and collects the variation statistics.  All
     three schemes run as one config-batched pass — one truth view, one
-    (chunk-bounded) α-solve per scheme, one 2-D simulation.
+    α-solve per scheme, one 2-D simulation.
 
     ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`:
     ``"auto"`` tiles the (schemes, modules) simulation plane once the

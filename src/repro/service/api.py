@@ -285,6 +285,8 @@ def _floats(value, name: str) -> tuple[float, ...]:
         out = tuple(float(v) for v in value)
     except (TypeError, ValueError) as exc:
         raise ServiceError("bad-request", f"{name} must be a list of numbers: {exc}")
+    # NaN and ±inf have no JSON encoding: the reply could not go on the wire.
+    _require(all(map(math.isfinite, out)), f"{name} must be finite")
     return out
 
 
@@ -393,11 +395,11 @@ class FleetSpec:
 class FleetHandle:
     """A hosted fleet, as the service addresses it.
 
-    ``shm_name`` names the POSIX shared-memory block holding the
-    fleet's variation arrays (empty when the service was configured not
-    to export) — the same block :func:`repro.exec.shared.attach_fleet`
-    maps, so an engine worker on the same machine can attach the hot
-    fleet zero-copy.
+    ``shm_name`` names the POSIX shared-memory block the service
+    exported the fleet's variation arrays to (empty when the service
+    was configured not to export), in the layout
+    :func:`repro.exec.shared.attach_fleet` maps.  Nothing in the package
+    attaches it: sweeps export their own copy.
     """
 
     fleet_id: str

@@ -2,22 +2,20 @@
 
 :class:`AllocationService` hosts *hot fleets*: each opened fleet is
 built once, exported to POSIX shared memory via
-:func:`repro.exec.shared.export_fleet` (so engine pool workers attach it
-zero-copy instead of re-sampling variation per request), and kept warm
-together with its per-(app, scheme) power-model tables.  Against those
-tables, the three request families cost very different amounts:
+:func:`repro.exec.shared.export_fleet`, and kept warm together with its
+per-(app, scheme) power-model tables.  Against those tables, the three
+request families cost very different amounts:
 
 ``allocate``
-    The fast path — answers from the cached Eq (5)/(6) aggregates with
-    scalar arithmetic per budget, never materialising a fleet-sized
-    temporary.  The arithmetic replicates
-    :func:`repro.core.budget.solve_alpha_batched` (including the FS
-    planning guardband of :meth:`Scheme.allocate_batched
-    <repro.core.schemes.Scheme.allocate_batched>`) exactly, so the
-    ``alpha``/``raw_alpha``/``feasible``/``freq_ghz`` values are
-    bit-identical to what a full solve at the same ``chunk_modules``
-    would produce; ``tests/service`` pins the parity.  This is what
-    sustains thousands of queries/sec against a 100k-module fleet.
+    The fast path — answers from the cached Eq (5)/(6) aggregates,
+    never materialising a fleet-sized temporary.  It runs the core
+    α-solve kernel of :func:`repro.core.budget.solve_alpha_batched`
+    behind the FS planning guardband
+    (:func:`~repro.core.budget.fs_derate`) on those aggregates, so the
+    ``alpha``/``raw_alpha``/``feasible``/``freq_ghz`` values are the
+    ones a full solve at the same ``chunk_modules`` produces;
+    ``tests/service`` pins the parity.  This is what sustains thousands
+    of queries/sec against a 100k-module fleet.
 
 ``sweep``
     Full simulation through :meth:`ExperimentEngine.submit_sweep
@@ -32,7 +30,7 @@ tables, the three request families cost very different amounts:
     re-solves the shared α over the *active* sub-model — a zero-copy
     :meth:`LinearPowerModel.take_slice
     <repro.core.model.LinearPowerModel.take_slice>` where membership is
-    contiguous — with :func:`~repro.core.budget.solve_alpha_batched`.
+    contiguous — with the same kernel, on the sub-model's aggregates.
 
 All public methods raise :class:`~repro.service.api.ServiceError` only
 (the daemon maps them onto the wire), and the whole object is guarded by
@@ -50,7 +48,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.apps import get_app
 from repro.cluster.configs import build_hetero_system, build_system
-from repro.core.budget import solve_alpha_batched
+from repro.core.budget import _solve_eq6, fs_derate
 from repro.core.model import LinearPowerModel
 from repro.core.pvt import PowerVariationTable, generate_pvt
 from repro.core.schemes import available_schemes, get_scheme
@@ -77,8 +75,12 @@ from repro.service.api import (
 
 __all__ = ["AllocationService"]
 
-#: Default α-solve chunk size (modules) — the fleet experiments' knob.
+#: α-solve chunk size (modules): the blocking of the Eq (5)/(6) sums
+#: for table builds and membership re-solves — the fleet experiments' knob.
 SERVICE_CHUNK = 65536
+
+#: FS planning guardband for membership re-solves (the RunKey default).
+MEMBERSHIP_FS_GUARDBAND = 0.02
 
 #: Default per-fleet budget when none has been set: the fleet-sweep
 #: module constraint, Cm = 80 W/module (Table 4's tightest all-"X" row).
@@ -87,19 +89,18 @@ DEFAULT_CM_W = 80.0
 
 @dataclass(frozen=True)
 class _PlanTable:
-    """One (app, scheme)'s cached solve aggregates for a hosted fleet.
+    """One (app, scheme)'s cached solve inputs for a hosted fleet.
 
-    ``floor_w``/``span_w`` are the chunk-accumulated Eq (5)/(6)
-    aggregates; ``floor_fused_w`` is the fused ``total_min_w()`` the
-    scalar solve reports for invalid budgets and the FS guardband
-    clamps against — both kept so the fast path mirrors
-    :func:`solve_alpha_batched`'s two raise sites exactly.
+    ``floor_w``/``span_w`` are the chunk-blocked Eq (5)/(6) aggregates
+    and ``fused_floor_w`` the fused ``total_min_w()`` — with the
+    model's ``fmin``/``fmax``, exactly the inputs of the core α-solve
+    kernel.  ``model`` stays for membership sub-models.
     """
 
     model: LinearPowerModel
     floor_w: float
     span_w: float
-    floor_fused_w: float
+    fused_floor_w: float
     fs_actuated: bool
 
 
@@ -125,7 +126,6 @@ class _FleetState:
     budget_w: float
     app: str = "bt"
     scheme: str = "vafsor"
-    fs_guardband_frac: float = 0.02
     pvt: PowerVariationTable | None = None
     tables: dict[tuple, _PlanTable] = field(default_factory=dict)
     jobs: list[_Job] = field(default_factory=list)
@@ -147,8 +147,6 @@ class AllocationService:
     engine:
         Share an existing engine (and its cache) instead of building a
         private uncached one.
-    chunk_modules:
-        α-solve memory knob for table builds and membership re-solves.
     export_shm:
         Export opened fleets to shared memory (the daemon's default).
         ``False`` keeps everything private to the process — used by
@@ -160,12 +158,10 @@ class AllocationService:
         *,
         jobs: int = 1,
         engine: ExperimentEngine | None = None,
-        chunk_modules: int = SERVICE_CHUNK,
         export_shm: bool = True,
     ):
         self._lock = threading.RLock()
         self._engine = engine if engine is not None else ExperimentEngine(jobs=jobs)
-        self._chunk = int(chunk_modules)
         self._export = bool(export_shm)
         self._fleets: dict[str, _FleetState] = {}
         self._next_id = 0
@@ -279,12 +275,12 @@ class AllocationService:
         except ReproError as exc:
             raise ServiceError("bad-request", str(exc))
         model = pmt.model
-        floor, span = model.floor_and_span_w(chunk_modules=self._chunk)
+        floor, span = model.floor_and_span_w(chunk_modules=SERVICE_CHUNK)
         table = _PlanTable(
             model=model,
             floor_w=floor,
             span_w=span,
-            floor_fused_w=model.total_min_w(),
+            fused_floor_w=model.total_min_w(),
             fs_actuated=scheme.actuation == "fs",
         )
         state.tables[key] = table
@@ -295,11 +291,10 @@ class AllocationService:
     def allocate(self, req: AllocationRequest) -> AllocationResult:
         """Solve Eq (6) for every requested budget from cached aggregates.
 
-        Scalar work per budget — exactly :func:`solve_alpha_batched`'s
-        arithmetic on the precomputed (floor, span), with
-        :meth:`Scheme.allocate_batched`'s FS guardband derating in
-        front — so the answers are bit-identical to a full solve while
-        touching nothing fleet-sized.
+        The core α-solve kernel on the table's precomputed (floor,
+        span), behind :meth:`Scheme.allocate_batched`'s FS guardband
+        derating — the answers of a full solve, touching nothing
+        fleet-sized.
         """
         with self._lock:
             self._check_open()
@@ -309,35 +304,24 @@ class AllocationService:
             )
         budgets = np.asarray(req.budgets_w, dtype=float)
         solve_on = budgets
-        if table.fs_actuated and req.fs_guardband_frac > 0.0:
-            # Scheme.allocate_batched's derating: never below the fused
-            # fmin floor for feasible budgets, infeasible ones keep the
-            # plain derated value.
-            derated = budgets * (1.0 - req.fs_guardband_frac)
-            solve_on = np.where(
-                budgets >= table.floor_fused_w,
-                np.maximum(derated, table.floor_fused_w),
-                derated,
+        if table.fs_actuated:
+            solve_on = fs_derate(
+                budgets, table.fused_floor_w, req.fs_guardband_frac
             )
-        valid = np.isfinite(solve_on) & (solve_on > 0.0)
-        if table.span_w <= 0.0:
-            raws = np.where(solve_on >= table.floor_w, 1.0, -1.0)
-        else:
-            raws = (solve_on - table.floor_w) / table.span_w
-        feasible = valid & (raws >= 0.0)
-        alphas = np.minimum(raws, 1.0)
-        freqs = alphas * (table.model.fmax - table.model.fmin) + table.model.fmin
-        # Eq (5) aggregate at the solved α; the floor reported for
-        # infeasible budgets mirrors the solve's two raise sites.
+        model = table.model
+        raws, alphas, feasible, freqs, floors = _solve_eq6(
+            table.floor_w, table.span_w, table.fused_floor_w,
+            model.fmin, model.fmax, solve_on,
+        )
+        # Eq (5) aggregate at the solved α.
         totals = np.where(feasible, alphas * table.span_w + table.floor_w, 0.0)
-        floors = np.where(valid, table.floor_w, table.floor_fused_w)
         telemetry.count("service.allocate")
         telemetry.count("service.allocate_budgets", int(budgets.size))
         return AllocationResult(
             fleet_id=req.fleet_id,
             app=req.app,
             scheme=req.scheme,
-            n_modules=table.model.n_modules,
+            n_modules=model.n_modules,
             allocations=tuple(
                 BudgetAllocation(
                     budget_w=float(budgets[i]),
@@ -502,9 +486,10 @@ class AllocationService:
 
         Jobs occupy contiguous ranges, so the sub-model is assembled
         from zero-copy :meth:`take_slice` views where possible (one
-        :meth:`take` gather otherwise) and handed to the same
-        :func:`solve_alpha_batched` the sweeps use — one budget, the
-        fleet's global one, with the scheme's FS derating applied.
+        :meth:`take` gather otherwise); its aggregates go through the
+        same α-solve kernel the sweeps use — one budget, the fleet's
+        global one, with the scheme's FS derating applied.  No
+        per-module allocation row is built.
         """
         jobs = tuple(j.job_id for j in state.jobs)
         active = state.active_modules
@@ -528,27 +513,25 @@ class AllocationService:
                 [np.arange(j.start, j.stop) for j in state.jobs]
             )
             submodel = table.model.take(indices)
-        budget = state.budget_w
-        if table.fs_actuated and state.fs_guardband_frac > 0.0:
-            floor = submodel.total_min_w()
-            derated = budget * (1.0 - state.fs_guardband_frac)
-            if budget >= floor:
-                derated = max(derated, floor)
-            budget = derated
-        batch = solve_alpha_batched(
-            submodel, [budget], chunk_modules=self._chunk
+        fused_floor = submodel.total_min_w()
+        budgets = np.array([state.budget_w])
+        if table.fs_actuated:
+            budgets = fs_derate(budgets, fused_floor, MEMBERSHIP_FS_GUARDBAND)
+        floor, span = submodel.floor_and_span_w(chunk_modules=SERVICE_CHUNK)
+        _raws, alphas, feasible, freqs, floors = _solve_eq6(
+            floor, span, fused_floor, submodel.fmin, submodel.fmax, budgets
         )
-        feasible = bool(batch.feasible[0])
+        ok = bool(feasible[0])
         telemetry.count("service.membership_resolve")
         return JobStateResult(
             fleet_id=state.fleet_id,
             jobs=jobs,
             active_modules=active,
             budget_w=state.budget_w,
-            feasible=feasible,
-            alpha=float(batch.alphas[0]) if feasible else 0.0,
-            freq_ghz=float(batch.freq_ghz[0]) if feasible else 0.0,
-            floor_w=float(batch.floor_w[0]),
+            feasible=ok,
+            alpha=float(alphas[0]) if ok else 0.0,
+            freq_ghz=float(freqs[0]) if ok else 0.0,
+            floor_w=float(floors[0]),
         )
 
     # -- schemes ---------------------------------------------------------------------

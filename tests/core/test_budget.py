@@ -119,18 +119,6 @@ class TestChunkedKnob:
         assert not hasattr(budget_mod, "solve_alpha_chunked")
         assert "solve_alpha_chunked" not in budget_mod.__all__
 
-    def test_chunk_knob_bit_identical_allocations(self):
-        # Chunking is a memory knob: at a given α the per-element
-        # allocations are bit-for-bit identical to the fused pass (the
-        # aggregates may differ by summation association, so the solved
-        # α itself is compared to tolerance elsewhere).
-        m = model(n=37, spread=0.08)
-        fused_cpu, fused_dram = m.allocations_at(0.4375)
-        for chunk in (1, 7, 37, 64):
-            pcpu, pdram = m.allocations_at(0.4375, chunk_modules=chunk)
-            assert np.array_equal(pcpu, fused_cpu)
-            assert np.array_equal(pdram, fused_dram)
-
 
 class TestClassify:
     def test_three_bands(self):

@@ -8,7 +8,9 @@ same alphas, same allocations (same IEEE-754 operations, not just close
 values), and the same :class:`InfeasibleBudgetError` payloads where the
 scalar call would raise.  These tests enforce that over
 hypothesis-random fleets and budget grids spanning both sides of the
-feasibility floor.
+feasibility floor.  :func:`solve_alpha` is itself a one-budget batched
+call, so the differential now checks batch-size independence; the
+output bits are pinned in ``tests/core/test_budget_pins.py``.
 """
 
 import numpy as np

@@ -260,6 +260,19 @@ class TestStrictValidation:
         assert exc.value.code == "unknown-field"
         assert "priority" in exc.value.message
 
+    @pytest.mark.parametrize("op", ["allocate", "sweep"])
+    def test_overflowing_budget_literal_rejected(self, op):
+        # json.loads reads 1e999 as inf; a non-finite budget must be a
+        # bad request, never a reply carrying NaN or Infinity.
+        line = (
+            f'{{"schema_version":{SCHEMA_VERSION},"op":"{op}",'
+            '"payload":{"fleet_id":"f0","budgets_w":[1e4,1e999]}}'
+        )
+        with pytest.raises(ServiceError) as exc:
+            decode_request(line)
+        assert exc.value.code == "bad-request"
+        assert "budgets_w must be finite" in exc.value.message
+
     def test_missing_required_field_rejected(self):
         line = self.envelope(op="admit", payload={"fleet_id": "f0"})
         with pytest.raises(ServiceError) as exc:
@@ -372,6 +385,20 @@ class TestBuilder:
         with pytest.raises(ServiceError) as exc:
             AllocationRequest.build(fleet_id="f0", budgets_w="12")
         assert exc.value.code == "bad-request"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_budgets_rejected(self, bad):
+        with pytest.raises(ServiceError) as exc:
+            AllocationRequest.build(fleet_id="f0", budgets_w=[1e4, bad])
+        assert exc.value.code == "bad-request"
+        with pytest.raises(ServiceError) as exc:
+            SweepRequest(fleet_id="f0", budgets_w=(bad,))
+        assert exc.value.code == "bad-request"
+
+    def test_non_positive_budgets_stay_valid(self):
+        # Finite budgets <= 0 are answered as typed infeasible points.
+        req = AllocationRequest.build(fleet_id="f0", budgets_w=[0.0, -1.0])
+        assert req.budgets_w == (0.0, -1.0)
 
     def test_sweep_rejects_negative_guardband(self):
         with pytest.raises(ServiceError) as exc:

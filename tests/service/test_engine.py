@@ -35,7 +35,7 @@ from repro.service.api import (
     ServiceError,
     SweepRequest,
 )
-from repro.service.engine import AllocationService
+from repro.service.engine import SERVICE_CHUNK, AllocationService
 
 N = 96
 SEED = 11
@@ -125,7 +125,7 @@ class TestAllocateParity:
             pvt=pvt,
             noisy=False,
             fs_guardband_frac=req.fs_guardband_frac,
-            chunk_modules=service._chunk,
+            chunk_modules=SERVICE_CHUNK,
         )
 
         assert result.n_modules == N
@@ -156,7 +156,7 @@ class TestAllocateParity:
         system = build_system("ha8k", n_modules=N, seed=SEED)
         (plan,) = get_scheme("vapcor").allocate_batched(
             system, get_app("bt"), [budget], noisy=False,
-            chunk_modules=service._chunk,
+            chunk_modules=SERVICE_CHUNK,
         )
         assert point.total_allocated_w == pytest.approx(
             plan.solution.total_allocated_w, rel=1e-12
@@ -333,11 +333,62 @@ class TestMembership:
         if budget >= floor:
             derated = max(derated, floor)
         batch = solve_alpha_batched(
-            model, [derated], chunk_modules=service._chunk
+            model, [derated], chunk_modules=SERVICE_CHUNK
         )
         assert state.feasible == bool(batch.feasible[0])
         assert state.alpha == float(batch.alphas[0])
         assert state.freq_ghz == float(batch.freq_ghz[0])
+
+    @pytest.mark.parametrize("scheme_name", ["vafsor", "vapcor"])
+    @pytest.mark.parametrize("per_module_w", [80.0, 20.0])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            # Two adjacent jobs: the sub-model is one zero-copy slice.
+            ((("a", 24), ("b", 24)), (), (0, 48)),
+            # A departed middle job leaves two ranges: a gathered take.
+            ((("a", 24), ("b", 24), ("c", 24)), ("b",), (0, 24, 48, 72)),
+        ],
+        ids=["adjacent", "gathered"],
+    )
+    def test_multi_job_alpha_matches_direct_solve(
+        self, service, fleet, scheme_name, per_module_w, layout
+    ):
+        """Several jobs: the membership re-solve equals
+        solve_alpha_batched over the active sub-model (FS-derated for
+        vafsor), bit for bit, feasible or not."""
+        admits, departs, bounds = layout
+        for job_id, n in admits:
+            service.admit(JobAdmitRequest(fleet_id="f0", job_id=job_id, n_modules=n))
+        for job_id in departs:
+            service.depart(JobDepartRequest(fleet_id="f0", job_id=job_id))
+        indices = np.concatenate(
+            [np.arange(lo, hi) for lo, hi in zip(bounds[::2], bounds[1::2])]
+        )
+        budget = per_module_w * indices.size
+        state = service.set_budget(
+            BudgetUpdateRequest(
+                fleet_id="f0", budget_w=budget, app="bt", scheme=scheme_name
+            )
+        )
+        assert state.active_modules == indices.size
+
+        system = build_system("ha8k", n_modules=N, seed=SEED)
+        scheme = get_scheme(scheme_name)
+        sub = scheme.build_pmt(system, get_app("bt")).model.take(indices)
+        solve_on = budget
+        if scheme.actuation == "fs":
+            floor = sub.total_min_w()
+            solve_on = budget * (1.0 - 0.02)
+            if budget >= floor:
+                solve_on = max(solve_on, floor)
+        batch = solve_alpha_batched(sub, [solve_on], chunk_modules=SERVICE_CHUNK)
+        feasible = bool(batch.feasible[0])
+        assert feasible == (per_module_w == 80.0)
+        assert state.feasible == feasible
+        assert state.alpha == (float(batch.alphas[0]) if feasible else 0.0)
+        assert state.freq_ghz == (float(batch.freq_ghz[0]) if feasible else 0.0)
+        assert state.floor_w == float(batch.floor_w[0])
 
     def test_budget_cut_can_turn_infeasible(self, service, fleet):
         service.admit(JobAdmitRequest(fleet_id="f0", job_id="a", n_modules=N))

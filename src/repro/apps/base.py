@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.cluster.topology import grid_dims, torus_neighbors
+from repro.simmpi.topology import grid_dims, torus_neighbors
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.module import ModuleArray
 from repro.hardware.power_model import PowerSignature

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.base import AppModel, CommSpec
-from repro.cluster.topology import grid_dims, torus_neighbors
+from repro.simmpi.topology import grid_dims, torus_neighbors
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
 from repro.simmpi.machine import BatchedBspMachine

@@ -1,12 +1,10 @@
-"""Cluster substrate: systems, configurations, topology, and scheduling.
+"""Cluster substrate: systems, configurations, and scheduling.
 
 * :mod:`repro.cluster.system` — a :class:`System` bundles a
   :class:`~repro.hardware.ModuleArray` with its measurement and control
   capabilities and a deterministic RNG namespace.
 * :mod:`repro.cluster.configs` — factories for the paper's four systems
   (Table 2): Cab, Vulcan, Teller and HA8K.
-* :mod:`repro.cluster.topology` — rank neighbourhood patterns used by
-  the application communication models (ring, 2-D/3-D torus).
 * :mod:`repro.cluster.scheduler` — a job scheduler that hands module
   allocations to applications (the budgeting framework takes the
   scheduler's module list as input, Fig 4).
@@ -15,11 +13,6 @@
 from repro.cluster.configs import SYSTEM_FACTORIES, build_hetero_system, build_system
 from repro.cluster.scheduler import Allocation, JobScheduler
 from repro.cluster.system import System
-from repro.cluster.topology import (
-    grid_dims,
-    ring_neighbors,
-    torus_neighbors,
-)
 
 __all__ = [
     "System",
@@ -28,7 +21,4 @@ __all__ = [
     "SYSTEM_FACTORIES",
     "JobScheduler",
     "Allocation",
-    "ring_neighbors",
-    "torus_neighbors",
-    "grid_dims",
 ]

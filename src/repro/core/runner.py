@@ -348,7 +348,7 @@ def run_budgeted(
 ) -> RunResult:
     """Run ``app`` on ``system`` under ``budget_w`` with one scheme: a
     one-config :func:`run_budgeted_batched`.  Its simulation runs as one
-    unsharded row, so with telemetry on it records the run's phase
+    row on one tile, so with telemetry on it records the run's phase
     timeline.
 
     Parameters
@@ -428,8 +428,9 @@ def run_budgeted_batched(
     (default) tiles the (configs, ranks) plane once it outgrows the
     cache working-set budget, a
     :class:`~repro.simmpi.sharding.ShardSpec`/:class:`~repro.simmpi.sharding.ShardPlan`
-    pins the tiling, ``None`` forces the unsharded path.  Sharding is
-    pure execution layout: results are bit-identical either way.
+    pins the tiling, ``None`` runs the whole plane as one tile.
+    Sharding is pure execution layout: results are bit-identical either
+    way.
 
     Entry *i* is the :class:`RunResult` of config *i* — the same bits
     whatever else is in the batch, since every stage performs the same

@@ -331,8 +331,8 @@ class ExperimentEngine:
         (the default) tiles the simulation plane when it outgrows the
         cache working-set budget, a
         :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling,
-        ``None`` forces the unsharded path.  Layout only — results and
-        cache digests never depend on it.
+        ``None`` runs the whole plane as one tile.  Layout only —
+        results and cache digests never depend on it.
     """
 
     def __init__(

@@ -118,7 +118,8 @@ def run_fleet_point(
     ``"auto"`` tiles the (schemes, modules) simulation plane once the
     fleet outgrows the cache working-set budget; a
     :class:`~repro.simmpi.sharding.ShardSpec` pins the tiling; ``None``
-    forces unsharded.  Layout only — results are bit-identical.
+    runs the whole plane as one tile.  Layout only — results are
+    bit-identical.
     """
     t0 = perf_counter()
     with telemetry.run_scope(

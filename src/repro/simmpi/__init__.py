@@ -7,9 +7,13 @@ delay while accumulating wait time on the fast ranks.  This subpackage
 simulates exactly that:
 
 * :mod:`repro.simmpi.machine` — :class:`BatchedBspMachine`, per-rank
-  virtual clocks for a stack of configurations with ``advance_local`` /
-  ``barrier`` / ``allreduce`` / ``sendrecv`` operations, all vectorised
-  over configs and ranks (a single run is a one-row machine).
+  virtual clocks for a stack of configurations, vectorised over configs
+  and ranks (a single run is a one-row machine).  Its column operations
+  act on one tile of ranks; the full-width ``advance_local`` /
+  ``barrier`` / ``allreduce`` / ``sendrecv`` are the same operations
+  over all ranks.
+* :mod:`repro.simmpi.topology` — the ``(n_ranks, k)`` neighbour tables
+  of halo exchanges (ring, 2-D/3-D torus).
 * :mod:`repro.simmpi.tracing` — :class:`RankTrace`, the per-rank timing
   record (total, compute, and MPI wait time, the quantity plotted in
   Fig 3 and Fig 8(ii)).
@@ -19,8 +23,10 @@ simulates exactly that:
   two paths cross-validate each other in the test suite.
 * :mod:`repro.simmpi.fastpath` — the fleet-scale fast path: a vector-op
   program IR executed as whole-fleet array operations with steady-state
-  fast-forwarding, plus the lowering onto the event-driven machine that
-  the differential equivalence suite verifies against.
+  fast-forwarding by one tiled executor (planned by
+  :mod:`repro.simmpi.sharding`; an untiled run is a one-tile plan), plus
+  the lowering onto the event-driven machine that the differential
+  equivalence suite verifies against.
 """
 
 from repro.simmpi.eventsim import (

@@ -18,8 +18,10 @@ superstep suffices.  This module provides that fast path:
   become stationary (after a barrier/allreduce all clocks coincide, so
   iteration k+1 repeats iteration k exactly; a halo exchange reaches the
   same steady state once the slowest module's wavefront has propagated
-  around the torus).  :func:`run_fast` is the one-row case, and
-  :func:`run_fast_sharded` the same execution tiled over columns;
+  around the torus).  :func:`run_fast` is the one-row case.  Every call
+  runs on :func:`run_fast_sharded`, the one loop executor, over a
+  :class:`~repro.simmpi.sharding.ShardPlan` of column tiles — a single
+  whole-plane tile unless the caller asks for tiling;
 * :func:`run_event` / :func:`to_event_program` — lowers the same program
   to per-rank generators on the :class:`EventDrivenMachine`, the
   independent reference the differential suite
@@ -100,7 +102,7 @@ _MIN_FF_REMAINING = 3
 
 #: Consecutive identical per-iteration increments required before the
 #: loop is declared stationary.  One uniform-shift observation is
-#: already sufficient mathematically (see :func:`_exec_loop_batched`); the
+#: already sufficient mathematically (see :func:`_exec_loop_sharded`); the
 #: second is a guard against accumulated rounding noise.
 _FF_STABLE_ITERS = 2
 
@@ -189,20 +191,34 @@ class BspProgram:
                     raise ConfigurationError(
                         "op payloads must be finite and non-negative"
                     )
-            elif isinstance(op, VSendrecv):
-                nb = np.asarray(op.neighbors)
-                if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
-                    raise ConfigurationError(
-                        f"neighbors must have shape (n_ranks, k); got {nb.shape}"
-                    )
-                if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
-                    raise ConfigurationError("neighbor indices out of range")
             elif isinstance(op, VLoop):
-                if op.iters <= 0:
-                    raise ConfigurationError("loop iterations must be positive")
+                n = op.iters
+                if (
+                    isinstance(n, bool)
+                    or not isinstance(n, (int, np.integer))
+                    or n <= 0
+                ):
+                    raise ConfigurationError(
+                        f"loop iterations must be a positive integer; got {n!r}"
+                    )
                 self._validate(op.body)
-            elif isinstance(op, (VBarrier, VAllreduce)):
+            elif isinstance(op, VBarrier):
                 pass
+            elif isinstance(op, (VAllreduce, VSendrecv)):
+                if not (np.isfinite(op.message_bytes) and op.message_bytes >= 0):
+                    raise ConfigurationError(
+                        "message_bytes must be finite and non-negative; "
+                        f"got {op.message_bytes!r}"
+                    )
+                if isinstance(op, VSendrecv):
+                    nb = np.asarray(op.neighbors)
+                    if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
+                        raise ConfigurationError(
+                            "neighbors must have shape (n_ranks, k); "
+                            f"got {nb.shape}"
+                        )
+                    if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
+                        raise ConfigurationError("neighbor indices out of range")
             else:
                 raise ConfigurationError(f"unknown fast-path op {op!r}")
 
@@ -237,205 +253,26 @@ def run_fast(
     )[0]
 
 
-# -- the config-batched executor -----------------------------------------------
-
-
-def _local_dt_batched(ops: Sequence[_VOp], rates: np.ndarray) -> np.ndarray:
-    """Combined per-rank seconds of a communication-free op sequence,
-    for every config row at once."""
-    n = rates.shape[1]
-    dt = np.zeros(rates.shape)
-    for op in ops:
-        if isinstance(op, VCompute):
-            dt += np.broadcast_to(
-                np.asarray(op.ghz_seconds, dtype=float), (n,)
-            ) / rates
-        elif isinstance(op, VElapse):
-            dt += np.broadcast_to(np.asarray(op.seconds, dtype=float), (n,))
-        elif isinstance(op, VLoop):
-            dt += op.iters * _local_dt_batched(op.body, rates)
-        else:  # pragma: no cover - guarded by _has_sync
-            raise SimulationError(f"{op!r} is not a local op")
-    return dt
-
-
-def _exec_ops_batched(machine: BatchedBspMachine, ops: Sequence[_VOp]) -> None:
-    """Execute an op sequence, fusing each maximal communication-free
-    run into one fleet-wide advance (fusion boundaries depend only on
-    op types, so every config row fuses identically)."""
-    i, n_ops = 0, len(ops)
-    while i < n_ops:
-        op = ops[i]
-        # Fuse a maximal run of sync-free ops into one fleet-wide advance.
-        if isinstance(op, _LOCAL_OPS) or (
-            isinstance(op, VLoop) and not _has_sync(op.body)
-        ):
-            j = i
-            while j < n_ops and (
-                isinstance(ops[j], _LOCAL_OPS)
-                or (isinstance(ops[j], VLoop) and not _has_sync(ops[j].body))
-            ):
-                j += 1
-            machine.advance_local(_local_dt_batched(ops[i:j], machine.rates))
-            i = j
-            continue
-        if isinstance(op, VBarrier):
-            machine.barrier()
-        elif isinstance(op, VAllreduce):
-            machine.allreduce(op.message_bytes)
-        elif isinstance(op, VSendrecv):
-            machine.sendrecv(np.asarray(op.neighbors), op.message_bytes)
-        elif isinstance(op, VLoop):
-            _exec_loop_batched(machine, op)
-        else:  # pragma: no cover - programs are validated on construction
-            raise SimulationError(f"unknown fast-path op {op!r}")
-        i += 1
-
-
-def _rows_close(delta: tuple, prev: tuple, scratch: tuple) -> np.ndarray:
-    """True where a row's four per-iteration increments all match the
-    previous iteration's (``np.allclose`` at rtol 1e-12, atol 1e-15).
-
-    Evaluates ``np.isclose``'s finite-operand predicate
-    ``|d - p| <= atol + rtol * |p|`` directly into the two caller-owned
-    scratch arrays — same decision, none of ``isclose``'s
-    machine-sized temporaries (sim deltas are always finite).
-    """
-    diff, tol = scratch[0], scratch[1]
-    ok = np.ones(delta[0].shape[0], dtype=bool)
-    for d, p in zip(delta, prev):
-        np.subtract(d, p, out=diff)
-        np.abs(diff, out=diff)
-        np.abs(p, out=tol)
-        tol *= 1e-12
-        tol += 1e-15
-        ok &= (diff <= tol).all(axis=1)
-    return ok
-
-
-def _rows_uniform(clock_delta: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """True where one iteration advanced every rank of a row by the
-    same clock increment, to rounding noise (same allocation-free
-    ``isclose`` predicate as :func:`_rows_close`; the reference column's
-    tolerance is a ``(rows, 1)`` broadcast)."""
-    ref = clock_delta[:, :1]
-    np.subtract(clock_delta, ref, out=scratch)
-    np.abs(scratch, out=scratch)
-    tol = 1e-12 * np.abs(ref)
-    tol += 1e-15
-    return (scratch <= tol).all(axis=1)
-
-
-def _record_fast_forward(n_rows: int, remaining: int) -> None:
-    """Count ``n_rows`` configs retiring together with ``remaining``
-    iterations skipped each: one histogram sample per row, so the
-    ``sim.ff_saved_iters`` total is the iterations saved."""
-    telemetry.count("sim.fast_forward", n_rows)
-    for _ in range(n_rows):
-        telemetry.observe("sim.ff_saved_iters", remaining)
-
-
-def _exec_loop_batched(machine: BatchedBspMachine, loop: VLoop) -> None:
-    """Run a synchronising loop for all configs, fast-forwarding each
-    config's steady state *independently*.
-
-    Every body op commutes with adding a constant to all clocks: compute
-    and elapse add fixed per-rank amounts, and barrier / allreduce /
-    halo-exchange are max-plus operations, so shifting a row's whole
-    clock vector by ``c`` shifts their result by ``c``.  Hence a
-    *uniform* per-iteration clock increment is a proof of stationarity —
-    the next iteration is the previous one translated in time, forever.
-    A stable but **non-uniform** increment proves nothing: in a
-    halo-exchange ring the slowest module's delay wavefront moves one hop
-    per superstep, and ranks it has not yet reached advance at their own
-    (transient) pace for up to the graph diameter before snapping to the
-    global rate.  A row is therefore fast-forwarded only on a uniform,
-    repeated increment, and keeps iterating otherwise.  A
-    barrier/allreduce body equalises all clocks each iteration, so its
-    increment is uniform from the second pass; a halo-exchange body gets
-    there once the wavefront has covered the graph (at most the torus
-    diameter, usually far fewer iterations because near-slowest modules
-    are dense at fleet scale).
-
-    The timing invariant that makes a row's result independent of the
-    batch it runs in: a config must be fast-forwarded at exactly the
-    iteration it would be alone, because ``c + k·d`` and
-    ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
-    ``(prev, stable)`` detector state therefore survives the active-set
-    shrink — retired configs leave the batch, the rest carry their
-    streak across the extraction.  Every machine op is row-independent,
-    so executing the surviving subset alone reproduces exactly what the
-    full batch would have computed for those rows.
-    """
-    remaining = loop.iters
-    parent = machine
-    sub = machine
-    rows = np.arange(machine.n_configs)
-    shape = (machine.n_configs, machine.n_ranks)
-    before = tuple(np.empty(shape) for _ in range(4))
-    delta = tuple(np.empty(shape) for _ in range(4))
-    prev = tuple(np.empty(shape) for _ in range(4))
-    have_prev = False
-    stable = np.zeros(machine.n_configs, dtype=np.int64)
-    while remaining > 0:
-        sub.state_into(before)
-        _exec_ops_batched(sub, loop.body)
-        remaining -= 1
-        if remaining < _MIN_FF_REMAINING:
-            continue
-        sub.delta_into(before, delta)
-        if have_prev:
-            # `before` is dead until the next state_into: reuse it as the
-            # detector's scratch space.
-            ok = _rows_close(delta, prev, before) & _rows_uniform(
-                delta[0], before[2]
-            )
-            stable = np.where(ok, stable + 1, 0)
-        else:
-            stable[:] = 0
-        retire = stable >= _FF_STABLE_ITERS
-        if np.any(retire):
-            sub.fast_forward_rows(retire, delta, remaining)
-            _record_fast_forward(int(retire.sum()), remaining)
-            if sub is not parent:
-                parent.write_rows(rows[retire], sub, retire)
-            keep = ~retire
-            rows = rows[keep]
-            if rows.size == 0:
-                return
-            sub = sub.extract_rows(keep)
-            shape = (rows.size, sub.n_ranks)
-            prev = tuple(d[keep] for d in delta)
-            before = tuple(np.empty(shape) for _ in range(4))
-            delta = tuple(np.empty(shape) for _ in range(4))
-            stable = stable[keep]
-            have_prev = True
-        else:
-            prev, delta = delta, prev
-            have_prev = True
-    if sub is not parent:
-        parent.write_rows(rows, sub)
-
-
-# -- the sharded executor ------------------------------------------------------
+# -- the tiled executor --------------------------------------------------------
 #
-# Tiling strategy: the unsharded loop body makes one full-plane pass per
-# numpy op (~30 per superstep with the detector), so beyond cache size
-# every op streams from DRAM.  The sharded executor reorganises each
-# superstep into 2-3 fused *tile passes* — per tile: [finish previous
-# sync; snapshot; advance locals; partial row-max], [halo gathers], and
+# One executor runs every BSP program, on a ShardPlan: row blocks of
+# configs, each cut into column tiles.  Each superstep is organised
+# into 2-3 fused *tile passes* — per tile: [finish previous sync;
+# snapshot; advance locals; partial row-max], [halo gathers], and
 # [finish sync; delta; detector verdicts] — so each tile's ~20 arrays
-# are touched many times while cache-hot and streamed from DRAM only
-# once per pass.  Per-segment local dt is computed once per loop entry
-# (it is loop-invariant) instead of once per iteration.
+# are touched many times while cache-hot and, on a plane larger than
+# the cache, streamed from DRAM only once per pass.  Per-segment local
+# dt is computed once per loop entry (it is loop-invariant) instead of
+# once per iteration.  A plane under the working-set budget, and every
+# ``shard=None`` run, is a one-tile plan: the same passes over the
+# whole width.
 #
-# Bit-identity (ARCHITECTURE.md invariant 8): every tiled update applies
-# the same elementwise IEEE-754 ops as its full-width original on the
-# same operands; the only cross-column couplings — the barrier row max,
-# the halo gathers, and the detector's row reductions — are exact
-# operand selections / AND-reductions, which commute with any column
-# partition.  Cross-row coupling does not exist, so row blocks are
-# trivially exact.
+# Bit-identity (ARCHITECTURE.md invariant 8): every update is an
+# elementwise IEEE-754 op on the same operands under any tiling; the
+# only cross-column couplings — the barrier row max, the halo gathers,
+# and the detector's row reductions — are exact operand selections /
+# AND-reductions, which commute with any column partition.  Cross-row
+# coupling does not exist, so row blocks are trivially exact.
 
 
 def _shard_segments(
@@ -444,10 +281,10 @@ def _shard_segments(
     """Split an op sequence at its synchronisation points.
 
     Returns ``(locals, sync)`` pairs where ``locals`` is a maximal
-    sync-free run — exactly the runs :func:`_exec_ops_batched` fuses,
-    since the boundaries depend only on op types — and ``sync`` is the
-    following barrier / allreduce / sendrecv / sync-bearing loop, or
-    ``None`` for a trailing local run.
+    sync-free run — fused into one local advance; the boundaries depend
+    only on op types, so every config row fuses identically — and
+    ``sync`` is the following barrier / allreduce / sendrecv /
+    sync-bearing loop, or ``None`` for a trailing local run.
     """
     segs: list[tuple[tuple, _VOp | None]] = []
     run: list[_VOp] = []
@@ -467,9 +304,10 @@ def _shard_segments(
 def _local_dt_tile(
     ops: Sequence[_VOp], rates: np.ndarray, a: int, b: int
 ) -> np.ndarray:
-    """:func:`_local_dt_batched` restricted to columns ``[a, b)`` —
-    elementwise identical to slicing the full result, since every term
-    is per-element."""
+    """Combined per-rank seconds of a communication-free op sequence on
+    columns ``[a, b)``, for every config row at once — elementwise
+    identical to slicing a full-width result, since every term is
+    per-element."""
     sub = rates[:, a:b]
     w = b - a
     dt = np.zeros(sub.shape)
@@ -540,11 +378,15 @@ class _ShardedExec:
         return pair
 
     def apply_sync(self, pend: tuple, t: int, a: int, b: int) -> None:
-        """Apply a pending sync's phase 2 to tile *t* (wait/comm/clock)."""
-        kind, ready, cost = pend
+        """Apply a pending sync's phase 2 to tile *t* (wait/comm/clock).
+
+        ``pend`` is ``(op, ready, cost)``: a sendrecv's ``ready`` is the
+        full gathered plane, a barrier/allreduce's the ``(configs, 1)``
+        row maxima."""
+        op, ready, cost = pend
         self.machine.sync_cols(
-            a, b, ready if kind == "row" else ready[:, a:b], cost,
-            self.wait_scr[t],
+            a, b, ready[:, a:b] if op == "sendrecv" else ready, cost,
+            self.wait_scr[t], op,
         )
 
     def foreach(self, visit) -> None:
@@ -571,8 +413,8 @@ class _ShardedExec:
 def _dt_tiles(ex: _ShardedExec, ops: tuple) -> list[np.ndarray] | None:
     """Per-tile local-time caches for one sync-free run (``None`` when
     the run is empty).  Loop-invariant, so loops build these once per
-    entry; :meth:`BatchedBspMachine.advance_local`'s non-negativity
-    guard is hoisted here."""
+    entry; the non-negativity guard of
+    :meth:`BatchedBspMachine.advance_local` is applied here, once."""
     if not ops:
         return None
     tiles = []
@@ -614,16 +456,11 @@ def _barrier_pend(ex: _ShardedExec, op: _VOp) -> tuple:
     """Reduce the tiles' partial row maxima (max of maxes is the exact
     full-row max) and price the collective; a ``partial`` pass must have
     just filled ``ex.partials``."""
-    m = ex.machine
     ready_row = np.max(ex.partials, axis=1)[:, None]
     if isinstance(op, VAllreduce):
-        hops = max(1, int(np.ceil(np.log2(max(m.n_ranks, 2)))))
-        cost = 2 * (
-            hops * m.latency_s + op.message_bytes / (m.bandwidth_gbps * 1e9)
-        )
-    else:
-        cost = 0.0
-    return ("row", ready_row, cost)
+        cost = ex.machine.allreduce_cost(op.message_bytes)
+        return ("allreduce", ready_row, cost)
+    return ("barrier", ready_row, 0.0)
 
 
 def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
@@ -635,22 +472,13 @@ def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
     clock is written until the pass completes.
     """
     m = ex.machine
-    nb = np.asarray(op.neighbors)
-    if nb.ndim != 2 or nb.shape[0] != m.n_ranks:
-        raise SimulationError(
-            f"neighbors must have shape (n_ranks, k); got {nb.shape}"
-        )
-    if nb.size and (nb.min() < 0 or nb.max() >= m.n_ranks):
-        raise SimulationError("neighbor indices out of range")
+    nb = m.check_neighbors(op.neighbors)
 
     def visit(t: int, a: int, b: int) -> None:
         m.gather_ready_cols(a, b, nb, ex.ready[:, a:b], ex.gather_pair(t))
 
     ex.foreach(visit)
-    cost = m.latency_s + op.message_bytes * nb.shape[1] / (
-        m.bandwidth_gbps * 1e9
-    )
-    return ("full", ex.ready, cost)
+    return ("sendrecv", ex.ready, m.sendrecv_cost(nb, op.message_bytes))
 
 
 def _ref_delta(
@@ -664,10 +492,10 @@ def _ref_delta(
     read another tile's in-flight delta.  Replays the exact IEEE-754 ops
     the closing pass performs on column 0 (``ready + cost``, ``+ dt``,
     ``- before``), so the result is bitwise equal to ``delta[0][:, :1]``.
-    Returns ``(ref, tolerance)`` as :func:`_rows_uniform` computes them.
+    Returns ``(ref, tolerance)`` for the uniformity test.
     """
     if pend is not None:
-        _kind, ready, cost = pend
+        _op, ready, cost = pend
         post = ready[:, 0] + cost
     else:
         post = ex.machine.clock_s[:, 0].copy()
@@ -693,9 +521,14 @@ def _closing_pass(
 ) -> None:
     """End-of-iteration pass: finish the superstep (pending sync +
     trailing locals), write the per-tile delta, and — when ``ref`` is
-    given — evaluate the steady-state detector's per-tile verdicts with
-    the same predicate as :func:`_rows_close` / :func:`_rows_uniform`
-    (a row's full-width ``.all`` is the AND of its tile ``.all``\\ s)."""
+    given — evaluate the steady-state detector's per-tile verdicts.
+
+    A row is *close* where its four increments all match the previous
+    iteration's, and *uniform* where every rank's clock increment
+    matches the reference column's.  Both use ``np.isclose``'s
+    finite-operand predicate ``|d - p| <= 1e-15 + 1e-12 * |p|``
+    evaluated into per-tile scratch (sim deltas are always finite); a
+    row's full-width ``.all`` is the AND of its tile ``.all``\\ s."""
     m = ex.machine
 
     def visit(t: int, a: int, b: int) -> None:
@@ -724,16 +557,53 @@ def _closing_pass(
     ex.foreach(visit)
 
 
-def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
-    """The sharded twin of :func:`_exec_loop_batched`.
+def _record_fast_forward(n_rows: int, remaining: int) -> None:
+    """Count ``n_rows`` configs retiring together with ``remaining``
+    iterations skipped each: one histogram sample per row, so the
+    ``sim.ff_saved_iters`` total is the iterations saved."""
+    telemetry.count("sim.fast_forward", n_rows)
+    for _ in range(n_rows):
+        telemetry.observe("sim.ff_saved_iters", remaining)
 
-    Identical control flow — the same per-row ``(prev, stable)``
-    detector state machine, retiring each config at exactly the
-    iteration the unsharded executor would, with the same active-set
-    extraction — but the per-iteration work is reorganised into the
-    fused tile passes described at the top of this section, and each
-    segment's local dt is cached across iterations (it is
-    loop-invariant; the cache is row-sliced on extraction).
+
+def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
+    """Run a synchronising loop for all configs, fast-forwarding each
+    config's steady state *independently*.
+
+    Every body op commutes with adding a constant to all clocks: compute
+    and elapse add fixed per-rank amounts, and barrier / allreduce /
+    halo-exchange are max-plus operations, so shifting a row's whole
+    clock vector by ``c`` shifts their result by ``c``.  Hence a
+    *uniform* per-iteration clock increment is a proof of stationarity —
+    the next iteration is the previous one translated in time, forever.
+    A stable but **non-uniform** increment proves nothing: in a
+    halo-exchange ring the slowest module's delay wavefront moves one hop
+    per superstep, and ranks it has not yet reached advance at their own
+    (transient) pace for up to the graph diameter before snapping to the
+    global rate.  A row is therefore fast-forwarded only on a uniform,
+    repeated increment, and keeps iterating otherwise.  A
+    barrier/allreduce body equalises all clocks each iteration, so its
+    increment is uniform from the second pass; a halo-exchange body gets
+    there once the wavefront has covered the graph (at most the torus
+    diameter, usually far fewer iterations because near-slowest modules
+    are dense at fleet scale).
+
+    The timing invariant that makes a row's result independent of the
+    batch it runs in: a config must be fast-forwarded at exactly the
+    iteration it would be alone, because ``c + k·d`` and
+    ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
+    ``(prev, stable)`` detector state therefore survives the active-set
+    shrink — retired configs leave the batch, the rest carry their
+    streak across the extraction.  Every machine op is row-independent,
+    so executing the surviving subset alone reproduces exactly what the
+    full batch would have computed for those rows.  The detector's
+    verdicts are per-tile ``.all`` reductions AND-ed across tiles, so
+    they are the same under any column tiling.
+
+    The per-iteration work runs as the fused tile passes described at
+    the top of this section, and each segment's local dt is cached
+    across iterations (it is loop-invariant; the cache is row-sliced on
+    extraction).
     """
     segs = _shard_segments(loop.body)
     tail_ops: tuple = ()
@@ -754,9 +624,8 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     have_prev = False
     stable = np.zeros(shape[0], dtype=np.int64)
     while remaining > 0:
-        # Mirrors _exec_loop_batched's post-decrement `remaining <
-        # _MIN_FF_REMAINING: continue`: iterations that skip the
-        # detector also skip the snapshot and delta.
+        # Only an iteration followed by at least _MIN_FF_REMAINING more
+        # runs the detector; the others skip its snapshot and delta.
         detect = remaining - 1 >= _MIN_FF_REMAINING
         pend: tuple | None = None
         snap = before if detect else None
@@ -835,9 +704,9 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
 
 
 def _exec_ops_sharded(ex: _ShardedExec, ops: Sequence[_VOp]) -> None:
-    """Top-level sharded op walk (fusion boundaries identical to
-    :func:`_exec_ops_batched`).  Top-level sequences are a handful of
-    ops, so only loop bodies get the cross-segment pass fusion."""
+    """Top-level op walk: each maximal sync-free run is one fused local
+    advance.  Top-level sequences are a handful of ops, so only loop
+    bodies get the cross-segment pass fusion."""
     for locs, sync in _shard_segments(ops):
         dts = _dt_tiles(ex, locs)
         if isinstance(sync, (VBarrier, VAllreduce)):
@@ -855,24 +724,25 @@ def _exec_ops_sharded(ex: _ShardedExec, ops: Sequence[_VOp]) -> None:
             _fused_pass(ex, dt=dts)
 
 
-def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan | None:
-    """Normalise :func:`run_fast_batched`'s ``shard`` argument
-    (``None`` stays ``None``: the unsharded path)."""
+def _check_rates(program: BspProgram, rates: np.ndarray) -> np.ndarray:
+    r = np.asarray(rates, dtype=float)
+    if r.ndim != 2 or r.shape[1] != program.n_ranks:
+        raise ConfigurationError(
+            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
+        )
+    return r
+
+
+def _resolve_shard_plan(shard, shape: tuple[int, int]) -> ShardPlan:
+    """Normalise :func:`run_fast_batched`'s ``shard`` argument to a plan
+    (``None`` is the whole plane as one tile on one worker)."""
     if shard is None:
-        return None
+        return plan_shards(
+            shape[0], shape[1], shard_ranks=shape[1], shard_workers=1
+        )
     if isinstance(shard, ShardPlan):
-        if (shard.n_configs, shard.n_ranks) != shape:
-            raise ConfigurationError(
-                f"plan is for a {(shard.n_configs, shard.n_ranks)} plane; "
-                f"rates have shape {shape}"
-            )
         return shard
-    if isinstance(shard, str):
-        if shard != "auto":
-            raise ConfigurationError(
-                f"shard must be None, 'auto', a ShardSpec, or a ShardPlan; "
-                f"got {shard!r}"
-            )
+    if isinstance(shard, str) and shard == "auto":
         shard = ShardSpec()
     if isinstance(shard, ShardSpec):
         return shard.plan(shape[0], shape[1])
@@ -890,20 +760,18 @@ def run_fast_sharded(
     bandwidth_gbps: float = 5.0,
     plan: ShardPlan | None = None,
 ) -> list[RankTrace]:
-    """Execute :func:`run_fast_batched`'s contract on a tiled plan.
+    """Execute :func:`run_fast_batched`'s contract on a tiled plan — the
+    one loop executor every BSP run goes through.
 
-    Row blocks run sequentially through the column-tiled executor (or
-    plain :func:`_exec_ops_batched` when the plan has a single column
-    tile); column tiles within a pass run on a thread pool when the plan
-    asks for more than one worker.  Results are bit-identical to the
-    unsharded path — ARCHITECTURE.md invariant 8.  ``plan=None``
-    auto-tunes via :func:`~repro.simmpi.sharding.plan_shards`.
+    Row blocks run sequentially; column tiles within a pass run on a
+    thread pool when the plan has more than one tile and asks for more
+    than one worker.  Results are bit-identical under every plan —
+    ARCHITECTURE.md invariant 8.  ``plan=None`` auto-tunes via
+    :func:`~repro.simmpi.sharding.plan_shards`.  With telemetry on, a
+    one-row run on a one-tile plan (a single run) records a
+    ``"fastpath"`` phase timeline.
     """
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 2 or r.shape[1] != program.n_ranks:
-        raise ConfigurationError(
-            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
-        )
+    r = _check_rates(program, rates)
     if plan is None:
         plan = plan_shards(r.shape[0], r.shape[1])
     elif (plan.n_configs, plan.n_ranks) != r.shape:
@@ -934,12 +802,11 @@ def run_fast_sharded(
                 machine = BatchedBspMachine(
                     r[r0:r1], latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
                 )
-                if plan.n_col_shards == 1:
-                    _exec_ops_batched(machine, program.ops)
-                else:
-                    _exec_ops_sharded(
-                        _ShardedExec(machine, tiles, pool, busy), program.ops
-                    )
+                if r.shape[0] == 1 and plan.n_col_shards == 1:
+                    machine.observer = telemetry.timeline("fastpath")
+                _exec_ops_sharded(
+                    _ShardedExec(machine, tiles, pool, busy), program.ops
+                )
                 traces.extend(machine.traces())
         finally:
             if pool is not None:
@@ -973,39 +840,23 @@ def run_fast_batched(
     ``rates`` has shape ``(n_configs, n_ranks)``; the result is one
     :class:`RankTrace` per config, bit-identical to ``n_configs``
     separate :func:`run_fast` calls at the corresponding rate rows.
-    With telemetry on, an unsharded one-row call (a single run) records
-    a ``"fastpath"`` phase timeline.
 
     ``shard`` selects the execution layout — never the results:
-    ``None`` runs the whole plane unsharded, ``"auto"`` (or a
+    ``None`` runs the whole plane as one tile, ``"auto"`` (or a
     :class:`~repro.simmpi.sharding.ShardSpec`) tiles it to the
     working-set budget via :func:`~repro.simmpi.sharding.plan_shards`,
     and an explicit :class:`~repro.simmpi.sharding.ShardPlan` is used
-    as given.  Plans that degenerate to one whole-plane tile fall
-    through to the unsharded executor.
+    as given.  Every layout runs on :func:`run_fast_sharded`.
     """
-    r = np.asarray(rates, dtype=float)
-    if r.ndim != 2 or r.shape[1] != program.n_ranks:
-        raise ConfigurationError(
-            f"rates shape {r.shape} != (n_configs, {program.n_ranks})"
-        )
+    r = _check_rates(program, rates)
     plan = _resolve_shard_plan(shard, r.shape)
-    if plan is not None and not plan.is_unsharded:
+    with telemetry.span(
+        "sim.run_fast_batched", configs=int(r.shape[0]), ranks=program.n_ranks
+    ):
         return run_fast_sharded(
             program, r,
             latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, plan=plan,
         )
-    machine = BatchedBspMachine(
-        r, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
-    )
-    if r.shape[0] == 1:
-        # A one-row batch is a single run: record its phase timeline.
-        machine.observer = telemetry.timeline("fastpath")
-    with telemetry.span(
-        "sim.run_fast_batched", configs=int(r.shape[0]), ranks=program.n_ranks
-    ):
-        _exec_ops_batched(machine, program.ops)
-    return machine.traces()
 
 
 # -- lowering to the event-driven machine --------------------------------------

@@ -77,21 +77,22 @@ class BatchedBspMachine:
         self._compute_s = np.zeros(shape)
         self._wait_s = np.zeros(shape)
         self._comm_s = np.zeros(shape)
-        # Preallocated scratch reused across supersteps.  At fleet scale
-        # (100k+ ranks) per-op temporaries exceed the allocator's mmap
-        # threshold, so allocating them per superstep costs a
-        # mmap/munmap + page-fault cycle each — reuse keeps the arrays
-        # resident.  ``a += b`` and ``np.op(..., out=...)`` perform the
-        # same IEEE-754 operations as their allocating forms.
-        self._dt_scratch = np.empty(shape)
+        # Scratch of the full-width operations, reused across supersteps
+        # (the tiled executor brings its own per-tile scratch).  At
+        # fleet scale (100k+ ranks) per-op temporaries exceed the
+        # allocator's mmap threshold, so allocating them per superstep
+        # costs a mmap/munmap + page-fault cycle each — reuse keeps the
+        # arrays resident.  ``a += b`` and ``np.op(..., out=...)``
+        # perform the same IEEE-754 operations as their allocating forms.
         self._ready_scratch = np.empty(shape)
         self._wait_scratch = np.empty(shape)
         self._take_scratch = np.empty(shape)
         self._rowmax_scratch = np.empty((shape[0], 1))
         #: Optional sync observer of row 0 (duck-typed: ``on_sync(op,
-        #: clock_s, wait_s)``), e.g. a telemetry PhaseTimeline.  Only
-        #: meaningful on a one-row machine, where row 0 is the run;
-        #: ``None`` keeps the sync path free of any telemetry cost.
+        #: clock_s, wait_s)``), e.g. a telemetry PhaseTimeline, fired by
+        #: every :meth:`sync_cols` over the full width.  Only meaningful
+        #: on a one-row machine, where row 0 is the run; ``None`` keeps
+        #: the sync path free of any telemetry cost.
         self.observer = None
 
     @property
@@ -165,32 +166,26 @@ class BatchedBspMachine:
         )
         if np.any(dt < 0):
             raise SimulationError("local time must be non-negative")
-        self.clock_s += dt
-        self._compute_s += dt
-
-    def _row_ready(self) -> np.ndarray:
-        """Per-row clock maximum broadcast across ranks (barrier target)."""
-        np.max(self.clock_s, axis=1, keepdims=True, out=self._rowmax_scratch)
-        np.copyto(self._ready_scratch, self._rowmax_scratch)
-        return self._ready_scratch
+        self.advance_cols(0, self.n_ranks, dt)
 
     def barrier(self) -> None:
         """Per-config global synchronisation: everyone waits for the
         slowest rank of its row."""
-        self._sync_to(self._row_ready(), 0.0, "barrier")
+        self.rowmax_cols(0, self.n_ranks, self._rowmax_scratch[:, 0])
+        self.sync_cols(
+            0, self.n_ranks, self._rowmax_scratch, 0.0, self._wait_scratch,
+            "barrier",
+        )
 
     def allreduce(self, message_bytes: float = 8.0) -> None:
         """Per-config synchronising reduction: barrier semantics plus
-        tree cost.
-
-        Cost model: a reduce-then-broadcast binary tree — ⌈log₂ P⌉
-        latency hops each way plus two payload traversals.
-        """
-        hops = max(1, int(np.ceil(np.log2(max(self.n_ranks, 2)))))
-        cost = 2 * (
-            hops * self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
+        :meth:`allreduce_cost`."""
+        self.rowmax_cols(0, self.n_ranks, self._rowmax_scratch[:, 0])
+        self.sync_cols(
+            0, self.n_ranks, self._rowmax_scratch,
+            self.allreduce_cost(message_bytes), self._wait_scratch,
+            "allreduce",
         )
-        self._sync_to(self._row_ready(), cost, "allreduce")
 
     def sendrecv(self, neighbors: np.ndarray, message_bytes: float = 0.0) -> None:
         """Per-config halo exchange on a shared neighbour table.
@@ -198,9 +193,39 @@ class BatchedBspMachine:
         ``neighbors`` has shape ``(n_ranks, k)``; entry ``[r, j]`` is the
         j-th partner of rank r.  The exchange completes for rank r when r
         and all partners have entered it.  ``message_bytes`` is the halo
-        size *per neighbour*; each rank pays one latency plus k
-        transfers.
+        size *per neighbour*; see :meth:`sendrecv_cost`.
         """
+        nb = self.check_neighbors(neighbors)
+        ready = self._ready_scratch
+        self.gather_ready_cols(
+            0, self.n_ranks, nb, ready, (self._wait_scratch, self._take_scratch)
+        )
+        self.sync_cols(
+            0, self.n_ranks, ready, self.sendrecv_cost(nb, message_bytes),
+            self._wait_scratch, "sendrecv",
+        )
+
+    # -- communication costs -----------------------------------------------------
+
+    def allreduce_cost(self, message_bytes: float) -> float:
+        """Transfer cost of one allreduce: a reduce-then-broadcast binary
+        tree — ⌈log₂ P⌉ latency hops each way plus two payload
+        traversals."""
+        hops = max(1, int(np.ceil(np.log2(max(self.n_ranks, 2)))))
+        return 2 * (
+            hops * self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
+        )
+
+    def sendrecv_cost(self, nb: np.ndarray, message_bytes: float) -> float:
+        """Transfer cost of one halo exchange: one latency plus one
+        ``message_bytes`` transfer per neighbour."""
+        return self.latency_s + message_bytes * nb.shape[1] / (
+            self.bandwidth_gbps * 1e9
+        )
+
+    def check_neighbors(self, neighbors: np.ndarray) -> np.ndarray:
+        """``neighbors`` as an array, validated as an ``(n_ranks, k)``
+        table of in-range rank indices."""
         nb = np.asarray(neighbors)
         if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
             raise SimulationError(
@@ -208,98 +233,25 @@ class BatchedBspMachine:
             )
         if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
             raise SimulationError("neighbor indices out of range")
-        # Partner-at-a-time gathers into (C, R) scratch instead of one
-        # (C, R, k) fancy-indexed temporary: max is exact and selects an
-        # operand, so the accumulation order cannot change the result.
-        ready = self._ready_scratch
-        np.take(self.clock_s, nb[:, 0], axis=1, out=ready)
-        for j in range(1, nb.shape[1]):
-            np.take(self.clock_s, nb[:, j], axis=1, out=self._take_scratch)
-            np.maximum(ready, self._take_scratch, out=ready)
-        np.maximum(self.clock_s, ready, out=ready)
-        cost = self.latency_s + message_bytes * nb.shape[1] / (
-            self.bandwidth_gbps * 1e9
-        )
-        self._sync_to(self._ready_scratch, cost, "sendrecv")
+        return nb
 
-    def _sync_to(
-        self, ready_s: np.ndarray, transfer_cost_s: float, op: str
-    ) -> None:
-        wait = np.subtract(ready_s, self.clock_s, out=self._wait_scratch)
-        self._wait_s += wait
-        self._comm_s += transfer_cost_s
-        np.add(ready_s, transfer_cost_s, out=self.clock_s)
-        if self.observer is not None:
-            self.observer.on_sync(op, self.clock_s[0], wait[0])
-
-    # -- fast-path state access --------------------------------------------------
-
-    def state_into(
-        self, out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ) -> None:
-        """Snapshot the accumulators into preallocated buffers (the
-        loop detector's per-iteration path, allocation-free)."""
-        np.copyto(out[0], self.clock_s)
-        np.copyto(out[1], self._compute_s)
-        np.copyto(out[2], self._wait_s)
-        np.copyto(out[3], self._comm_s)
-
-    def delta_into(
-        self,
-        earlier: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        out: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-    ) -> None:
-        """Per-element increments since ``earlier``, written into ``out``."""
-        np.subtract(self.clock_s, earlier[0], out=out[0])
-        np.subtract(self._compute_s, earlier[1], out=out[1])
-        np.subtract(self._wait_s, earlier[2], out=out[2])
-        np.subtract(self._comm_s, earlier[3], out=out[3])
-
-    def fast_forward_rows(
-        self,
-        rows: np.ndarray,
-        delta: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-        repeats: int,
-    ) -> None:
-        """Apply ``repeats`` per-iteration increments to selected rows
-        (``delta`` arrays are machine-shaped; only ``rows`` are read).
-
-        Per element this is one ``a + repeats * d`` multiply-add.
-        """
-        if repeats <= 0:
-            return
-        d_clock, d_compute, d_wait, d_comm = delta
-        rows = np.asarray(rows)
-        if rows.dtype == bool and rows.all():
-            # Whole batch retires at once (the common case for uniform
-            # sweeps): same multiply-add, without the masked copies.
-            self.clock_s += np.multiply(d_clock, repeats, out=self._dt_scratch)
-            self._compute_s += np.multiply(
-                d_compute, repeats, out=self._dt_scratch
-            )
-            self._wait_s += np.multiply(d_wait, repeats, out=self._dt_scratch)
-            self._comm_s += np.multiply(d_comm, repeats, out=self._dt_scratch)
-            return
-        self.clock_s[rows] += repeats * d_clock[rows]
-        self._compute_s[rows] += repeats * d_compute[rows]
-        self._wait_s[rows] += repeats * d_wait[rows]
-        self._comm_s[rows] += repeats * d_comm[rows]
-
-    # -- column-tiled twins (the sharded fast path) ------------------------------
+    # -- column operations ---------------------------------------------------------
     #
-    # Each method below is the restriction of a full-width operation to
-    # the column range [a, b).  Every update is elementwise (or, for the
-    # maxima, exact operand selection), so applying a full-width op is
-    # bit-identical to applying its twin on each tile of any column
-    # partition — the invariant the sharded executor in
-    # :mod:`repro.simmpi.fastpath` is built on.  Tiles never overlap, so
-    # concurrent twin calls on disjoint ranges are race-free.
+    # Each method below acts on the column range [a, b) only.  Every
+    # update is elementwise (or, for the maxima, exact operand
+    # selection), so applying one over [0, n_ranks) is bit-identical to
+    # applying it on each tile of any column partition — the invariant
+    # the tiled executor in :mod:`repro.simmpi.fastpath` is built on,
+    # and the reason the full-width operations above are just these ops
+    # over one whole-width tile.  Tiles never overlap, so concurrent
+    # calls on disjoint ranges are race-free.
 
     def advance_cols(self, a: int, b: int, dt: np.ndarray) -> None:
-        """:meth:`advance_local` on columns ``[a, b)``.
+        """Advance columns ``[a, b)`` by local time ``dt`` (accounted as
+        compute time).
 
-        ``dt`` is the caller's cached ``(n_configs, b - a)`` local-time
-        tile, validated non-negative when the cache was built.
+        ``dt`` broadcasts against the ``(n_configs, b - a)`` tile; the
+        caller has checked it non-negative.
         """
         self.clock_s[:, a:b] += dt
         self._compute_s[:, a:b] += dt
@@ -319,12 +271,15 @@ class BatchedBspMachine:
         out: np.ndarray,
         scratch: tuple[np.ndarray, np.ndarray],
     ) -> None:
-        """:meth:`sendrecv`'s ready-value gather for columns ``[a, b)``.
+        """A halo exchange's ready value for columns ``[a, b)``: each
+        rank's clock maxed with its neighbours'.
 
         Reads the *whole* clock plane (neighbours live in other tiles),
         writes only ``out`` — callers must not mutate clocks anywhere
-        while a gather pass is in flight.  Partner-at-a-time maxima in
-        the same order as the full-width gather.
+        while a gather pass is in flight.  Partner-at-a-time gathers into
+        tile-shaped scratch instead of one ``(C, R, k)`` fancy-indexed
+        temporary: max is exact and selects an operand, so the
+        accumulation order cannot change the result.
         """
         g, h = scratch
         np.take(self.clock_s, nb[a:b, 0], axis=1, out=g)
@@ -340,21 +295,30 @@ class BatchedBspMachine:
         ready_s: np.ndarray,
         transfer_cost_s: float,
         wait_scratch: np.ndarray,
+        op: str,
     ) -> None:
-        """:meth:`_sync_to` on columns ``[a, b)``.  ``ready_s`` is either
-        the ``(n_configs, 1)`` row-ready vector (barrier/allreduce) or
-        the tile's slice of a full gathered ready plane (sendrecv)."""
+        """Finish synchronisation ``op`` on columns ``[a, b)``: charge
+        the gap to ``ready_s`` as wait, the transfer cost as
+        communication, and move the clocks to ``ready_s + cost``.
+
+        ``ready_s`` is either the ``(n_configs, 1)`` row-ready vector
+        (barrier/allreduce) or the tile's slice of a full gathered ready
+        plane (sendrecv).  A tile spanning the full width reports row 0
+        to the :attr:`observer`.
+        """
         cl = self.clock_s[:, a:b]
-        np.subtract(ready_s, cl, out=wait_scratch)
-        self._wait_s[:, a:b] += wait_scratch
+        wait = np.subtract(ready_s, cl, out=wait_scratch)
+        self._wait_s[:, a:b] += wait
         self._comm_s[:, a:b] += transfer_cost_s
         np.add(ready_s, transfer_cost_s, out=cl)
+        if self.observer is not None and a == 0 and b == self.n_ranks:
+            self.observer.on_sync(op, self.clock_s[0], wait[0])
 
     def snapshot_cols(
         self, a: int, b: int, out: tuple[np.ndarray, ...]
     ) -> None:
-        """:meth:`state_into` on columns ``[a, b)`` of machine-shaped
-        buffers."""
+        """Copy the four accumulators' columns ``[a, b)`` into
+        machine-shaped buffers (the loop detector's snapshot)."""
         np.copyto(out[0][:, a:b], self.clock_s[:, a:b])
         np.copyto(out[1][:, a:b], self._compute_s[:, a:b])
         np.copyto(out[2][:, a:b], self._wait_s[:, a:b])
@@ -367,7 +331,8 @@ class BatchedBspMachine:
         earlier: tuple[np.ndarray, ...],
         out: tuple[np.ndarray, ...],
     ) -> None:
-        """:meth:`delta_into` on columns ``[a, b)``."""
+        """Per-element increments since the ``earlier`` snapshot, on
+        columns ``[a, b)``."""
         np.subtract(self.clock_s[:, a:b], earlier[0][:, a:b], out=out[0][:, a:b])
         np.subtract(
             self._compute_s[:, a:b], earlier[1][:, a:b], out=out[1][:, a:b]
@@ -385,9 +350,12 @@ class BatchedBspMachine:
         scratch: np.ndarray,
         whole: bool,
     ) -> None:
-        """:meth:`fast_forward_rows` on columns ``[a, b)``; ``whole``
-        precomputes ``rows.all()`` once for all tiles, ``scratch`` is a
-        tile-shaped multiply buffer."""
+        """Apply ``repeats`` per-iteration increments to the selected
+        ``rows`` on columns ``[a, b)`` — per element one
+        ``a + repeats * d`` multiply-add.  ``delta`` arrays are
+        machine-shaped; ``whole`` precomputes ``rows.all()`` once for all
+        tiles (the whole batch retiring skips the masked copies);
+        ``scratch`` is a tile-shaped multiply buffer."""
         if repeats <= 0:
             return
         arrays = (self.clock_s, self._compute_s, self._wait_s, self._comm_s)

@@ -9,7 +9,7 @@ from repro.apps.programs import (
     master_worker_program,
     pipeline_program,
 )
-from repro.cluster.topology import ring_neighbors, torus_neighbors
+from repro.simmpi.topology import ring_neighbors, torus_neighbors
 from repro.errors import ConfigurationError
 from repro.simmpi.eventsim import EventDrivenMachine
 from repro.simmpi.machine import BatchedBspMachine

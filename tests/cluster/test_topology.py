@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.topology import grid_dims, ring_neighbors, torus_neighbors
+from repro.simmpi.topology import grid_dims, ring_neighbors, torus_neighbors
 from repro.errors import ConfigurationError
 
 

@@ -72,7 +72,7 @@ class TestShardedGoldenAgreement:
     def test_forced_sharded_run_matches_golden_pins(self):
         """A deliberately awkward shard layout (width 257 over 4,096
         ranks, two workers) through the whole experiment stack must
-        land on the same published numbers as the unsharded path."""
+        land on the same published numbers as the one-tile layout."""
         p = run_fleet_point(
             4096,
             shard=ShardSpec(shard_ranks=257, shard_workers=2),

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.topology import ring_neighbors
+from repro.simmpi.topology import ring_neighbors
 from repro.errors import SimulationError
 from repro.simmpi.eventsim import (
     Allreduce,

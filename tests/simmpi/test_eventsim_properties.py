@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cluster.topology import ring_neighbors
+from repro.simmpi.topology import ring_neighbors
 from repro.simmpi.eventsim import (
     Allreduce,
     Barrier,

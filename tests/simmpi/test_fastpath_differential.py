@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import AppModel, CommSpec
-from repro.cluster.topology import grid_dims, torus_neighbors
+from repro.simmpi.topology import grid_dims, torus_neighbors
 from repro.hardware.power_model import PowerSignature
 from repro.simmpi.eventsim import EventDrivenMachine
 from repro.simmpi.fastpath import (
@@ -261,6 +261,69 @@ class TestFastForwardExactness:
         np.testing.assert_allclose(
             fast.total_s, [14.0, 14.125, 16.0, 16.0, 16.0, 14.125]
         )
+
+
+class TestProgramValidation:
+    """Malformed programs fail at construction with a
+    :class:`ConfigurationError`, before either executor can run them —
+    so the fast path and the event lowering never disagree on one."""
+
+    RING = np.stack([(np.arange(4) - 1) % 4, (np.arange(4) + 1) % 4], axis=1)
+
+    def test_malformed_ops_rejected(self):
+        from repro.errors import ConfigurationError
+
+        bad = [
+            (VCompute(np.ones(3)),),
+            (VCompute(-1.0),),
+            (VElapse(np.nan),),
+            (VSendrecv(self.RING[:3], 0.0),),
+            (VSendrecv(np.full((4, 2), 4), 0.0),),
+            (VLoop((VBarrier(),), 0),),
+            ("barrier",),
+        ]
+        for ops in bad:
+            with pytest.raises(ConfigurationError):
+                BspProgram(4, ops)
+        with pytest.raises(ConfigurationError):
+            BspProgram(0, ())
+
+    @pytest.mark.parametrize("iters", [2.5, 3.0, True, np.float64(2.0), "3"])
+    @pytest.mark.parametrize("body", ["sync_free", "synchronising"])
+    def test_non_integral_loop_count_rejected(self, iters, body):
+        """A fractional count would scale a fused sync-free body by 2.5
+        but run a synchronising body three times (and make the event
+        lowering's ``range`` raise)."""
+        from repro.errors import ConfigurationError
+
+        ops = (VCompute(1.0),)
+        if body == "synchronising":
+            ops += (VBarrier(),)
+        with pytest.raises(ConfigurationError):
+            BspProgram(4, (VLoop(ops, iters),))
+
+    @pytest.mark.parametrize("message_bytes", [-1e12, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("kind", ["allreduce", "sendrecv"])
+    def test_bad_message_bytes_rejected(self, message_bytes, kind):
+        """A negative payload would move clocks backwards, a NaN one
+        poison every clock."""
+        from repro.errors import ConfigurationError
+
+        if kind == "allreduce":
+            op = VAllreduce(message_bytes)
+        else:
+            op = VSendrecv(self.RING, message_bytes)
+        with pytest.raises(ConfigurationError):
+            BspProgram(4, (VCompute(1.0), op))
+
+    def test_integral_counts_and_zero_payloads_accepted(self):
+        program = BspProgram(4, (
+            VLoop((VCompute(1.0), VAllreduce(0.0)), np.int64(3)),
+            VSendrecv(self.RING, 0.0),
+        ))
+        fast = run_fast(program, np.ones(4), latency_s=0.0)
+        ref = run_event(program, np.ones(4), latency_s=0.0)
+        assert_traces_equivalent(fast, ref)
 
 
 class TestPipelineFallback:

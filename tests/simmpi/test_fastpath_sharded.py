@@ -1,12 +1,14 @@
-"""Differential proof: the sharded executor vs the unsharded 2-D path.
+"""Differential proof: multi-tile layouts vs the one-tile layout.
 
 :func:`~repro.simmpi.fastpath.run_fast_sharded` executes a
 :class:`BspProgram` over a (n_configs, n_ranks) plane in cache-sized
 column tiles and row blocks.  Sharding is *execution layout only*: the
 contract (ARCHITECTURE.md invariant 8) is bit-identity with
-:func:`run_fast_batched` — per-tile partial row maxima, AND-reduced
-detector verdicts, and the reference-column reconstruction must compose
-to exactly the IEEE-754 operations the unsharded machine performs.
+:func:`run_fast_batched` at ``shard=None`` — the whole plane as one
+tile — so per-tile partial row maxima, AND-reduced detector verdicts,
+and the reference-column reconstruction must compose to exactly the
+IEEE-754 operations of the full-width pass.  The one-tile bits are
+frozen separately in ``test_fastpath_pins.py``.
 
 Random programs and rate stacks reuse the generators of the existing
 differential suites; the shard plans are adversarial by construction:

@@ -6,9 +6,9 @@ simulation plane plus a cache working-set budget into a
 blindly — a hole in the tiling silently drops ranks, an overlap
 double-advances clocks — so the planner's contract is proven here as
 properties over random planes and budgets: the tiles partition the plane
-*exactly* (no empty tile, no overlap, full cover), the plan degrades to
-unsharded when the plane already fits the budget, and explicit knobs
-clamp rather than overrun.
+*exactly* (no empty tile, no overlap, full cover), the plan is one
+whole-plane tile when the plane already fits the budget, and explicit
+knobs clamp rather than overrun.
 """
 
 import numpy as np

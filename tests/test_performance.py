@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import get_app
-from repro.cluster.topology import torus_neighbors
+from repro.simmpi.topology import torus_neighbors
 from repro.simmpi.machine import BatchedBspMachine
 
 

@@ -13,7 +13,7 @@ Run:  python examples/resource_manager.py
 """
 
 from repro.cluster import build_system
-from repro.cluster.workloads import WorkloadSpec, generate_workload
+from repro.experiments.workloads import WorkloadSpec, generate_workload
 from repro.core import PowerAwareRM, generate_pvt
 
 system = build_system("ha8k", n_modules=512, seed=2015)

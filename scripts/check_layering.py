@@ -13,11 +13,10 @@ This script parses every module under ``src/repro`` with :mod:`ast`
 (no imports are executed) and fails if any package gains an import edge
 not present in the allowlist below, or if the allowlist holds an edge
 that no import uses.  The allowlist is a *ratchet*: it encodes the
-graph exactly as it stands — including one grandfathered cycle
-(``cluster <-> core``, mediated through late imports and type-only
-uses) — so an edge must be removed when its last import goes, and
-adding one requires editing this file, which is the point: layering
-violations become a reviewed decision, not drift.
+graph exactly as it stands — acyclic between layers — so an edge must
+be removed when its last import goes, and adding one requires editing
+this file, which is the point: layering violations become a reviewed
+decision, not drift.
 
 The hard rule the contract exists to protect: ``hardware`` (the ground
 truth the schemes are only allowed to observe through measurement) must
@@ -47,13 +46,11 @@ ALLOWED: dict[str, set[str]] = {
     "measurement": {"errors", "hardware"},
     "control": {"errors", "hardware"},
     "simmpi": {"errors", "telemetry", "util"},
-    # Budgeting framework.  cluster <-> core is a grandfathered cycle
-    # (ratchet: remove when untangled, never add).
+    # Budgeting framework: core builds on cluster and apps; neither
+    # imports core back.
     "apps": {"errors", "hardware", "simmpi"},
     "cluster": {
-        "apps",
         "control",
-        "core",
         "errors",
         "hardware",
         "measurement",

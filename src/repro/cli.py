@@ -37,7 +37,6 @@ trace shows the cache traffic itself.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from collections.abc import Callable
@@ -128,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for sweep fan-out (default: 1, sequential; "
-        "results are bit-identical at any value)",
+        "0 = one per effective CPU; results are bit-identical at any value)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -159,14 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="thread-pool workers executing shards (default: one per "
         "CPU core, capped at the shard count)",
-    )
-    parser.add_argument(
-        "--pin",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="pin pool workers to CPU slices from the process-wide core "
-        "budget (default: auto — pin whenever the platform supports "
-        "affinity; placement only, results are bit-identical either way)",
     )
     parser.add_argument(
         "--stats",
@@ -276,7 +267,6 @@ def _configure_engine(args: argparse.Namespace):
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         shard=args.shard,
-        pin=args.pin,
     )
 
 
@@ -563,12 +553,11 @@ def _format_cpulist(cpus: tuple[int, ...]) -> str:
 
 
 def _run_topo() -> int:
-    """``repro topo``: print the probed CPU/NUMA topology and the
-    process-wide core budget the pools draw on."""
-    from repro.util.topology import cpu_budget, effective_cpu_count
+    """``repro topo``: print the probed CPU/NUMA topology and the rule
+    that places engine pool workers on it."""
+    from repro.util.topology import effective_cpu_count, probe_topology
 
-    budget = cpu_budget()
-    topo = budget.topology
+    topo = probe_topology()
     rows = [
         [f"node{n.node_id}", n.n_cpus, _format_cpulist(n.cpus)]
         for n in topo.nodes
@@ -580,24 +569,13 @@ def _run_topo() -> int:
             title=f"topology (source: {topo.source})",
         )
     )
-    llc = (
-        "unknown"
-        if topo.llc_bytes is None
-        else f"{topo.llc_bytes // 1024} KiB"
-    )
-    # Mirrors ExperimentEngine._resolve_pin's default.
     pin = (
-        "on for --jobs > 1"
-        if hasattr(os, "sched_setaffinity")
+        "each --jobs > 1 worker pinned to one node-major CPU slice"
+        if engine_mod.pins_workers(2)
         else "unsupported on this platform"
     )
-    print(f"effective CPUs  : {effective_cpu_count()}")
-    print(f"last-level cache: {llc}")
-    print(
-        f"core budget     : {budget.total} total, "
-        f"{budget.claimed_cpus} claimed in {budget.n_leases} lease(s)"
-    )
-    print(f"worker pinning  : {pin} (override: --pin/--no-pin)")
+    print(f"effective CPUs: {effective_cpu_count()}")
+    print(f"worker pinning: {pin}")
     return 0
 
 

@@ -20,6 +20,7 @@ from repro.exec.engine import (
     configure,
     execute_key,
     get_engine,
+    pins_workers,
     reset,
 )
 from repro.exec.metrics import BatchRecord, RunRecord, RunStats
@@ -44,6 +45,7 @@ __all__ = [
     "configure",
     "execute_key",
     "get_engine",
+    "pins_workers",
     "reset",
     "BatchRecord",
     "RunRecord",

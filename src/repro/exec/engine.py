@@ -61,13 +61,14 @@ from repro.exec.shared import (
     fleet_pvt,
 )
 from repro.hardware.microarch import Microarchitecture, get_microarch
-from repro.util.topology import cpu_budget, effective_cpu_count
+from repro.util.topology import cpu_slices, effective_cpu_count, probe_topology
 
 __all__ = [
     "ExperimentEngine",
     "execute_key",
     "configure",
     "get_engine",
+    "pins_workers",
     "reset",
 ]
 
@@ -186,25 +187,31 @@ def _maybe_inject_fault() -> None:
             os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _pin_worker(pin_q=None) -> None:
-    """Pool-worker initializer: pin to the CPU slice shipped via
-    ``pin_q`` (one slice per worker, claimed from the process-wide
-    :func:`~repro.util.topology.cpu_budget`).  Only CPUs inside the
-    inherited affinity mask are used, and any failure skips pinning —
-    placement may never fail a run."""
-    if pin_q is None:
-        return
+def pins_workers(workers: int) -> bool:
+    """The placement rule: a parallel pool pins each of its ``workers``
+    to one :func:`~repro.util.topology.cpu_slices` slice wherever the
+    platform can set affinity; a sequential run is never pinned."""
+    return workers > 1 and hasattr(os, "sched_setaffinity")
+
+
+def _pin_worker(slices: tuple[tuple[int, ...], ...], taken) -> None:
+    """Pool-worker initializer: pin to the next unclaimed slice.
+
+    ``taken`` is a lock-guarded shared counter, so the hand-off needs no
+    background thread in the parent (a :class:`multiprocessing.Queue`
+    would fork the workers from a multi-threaded process).  Only CPUs
+    inside the inherited affinity mask are used, and a worker with no
+    slice left, or whose mask raced a cgroup change, runs unpinned:
+    placement may never fail or stall a run."""
     try:
-        cpus = tuple(pin_q.get(timeout=10.0))
-        allowed = set(os.sched_getaffinity(0))
-    except Exception:  # queue drained / no affinity support
-        return
-    target = set(cpus) & allowed
-    if target:
-        try:
+        with taken.get_lock():
+            index = taken.value
+            taken.value = index + 1
+        target = set(slices[index]) & os.sched_getaffinity(0)
+        if target:
             os.sched_setaffinity(0, target)
-        except OSError:  # pragma: no cover - mask raced with a cgroup change
-            pass
+    except (IndexError, OSError):
+        pass
 
 
 def _pool_run(key: RunKey) -> tuple[str, object, float]:
@@ -305,16 +312,6 @@ class ExperimentEngine:
         (:func:`~repro.util.topology.effective_cpu_count` — the
         affinity mask, not ``os.cpu_count()``, so ``taskset``/cgroup
         restricted environments are not oversubscribed).
-    pin:
-        Pin pool workers to CPU slices claimed from the process-wide
-        :func:`~repro.util.topology.cpu_budget`.  ``None`` (default)
-        pins whenever the platform supports affinity and the pool is
-        actually parallel; ``False`` disables.  Placement only — results
-        and digests are unaffected (ARCHITECTURE.md invariant 11), but
-        pinning makes composed pools (engine workers × inner tile
-        threads) partition the machine instead of oversubscribing it,
-        because children derive their own worker counts from the
-        shrunken affinity mask they inherit.
     cache_dir:
         Cache directory; ``None`` uses the default
         (``$REPRO_CACHE_DIR`` or ``~/.cache/repro``) when caching is on.
@@ -342,12 +339,10 @@ class ExperimentEngine:
         use_cache: bool | None = None,
         stats: RunStats | None = None,
         shard="auto",
-        pin: bool | None = None,
     ):
         self.jobs = (
             effective_cpu_count() if not jobs else max(1, int(jobs))
         )
-        self.pin = pin
         if use_cache is None:
             use_cache = cache_dir is not None
         self.cache: ResultCache | None = (
@@ -358,53 +353,39 @@ class ExperimentEngine:
 
     # -- pool construction ---------------------------------------------------
 
-    def _resolve_pin(self, workers: int) -> bool:
-        if not hasattr(os, "sched_setaffinity"):
-            return False
-        if self.pin is not None:
-            return bool(self.pin)
-        return workers > 1
-
     @contextmanager
     def _pool(self, workers: int):
-        """A :class:`ProcessPoolExecutor` drawing on the CPU budget.
+        """A :class:`ProcessPoolExecutor` placed by :func:`pins_workers`.
 
-        Claims one node-aware CPU slice per worker from the
-        process-wide ledger (released when the pool exits) and records
-        the placement gauges the composition tests audit:
-        ``engine.cpu_budget.total``, ``engine.pool.workers``, and
-        ``engine.pool.cpus_granted`` (distinct CPUs granted — never
-        above the budget total, by construction).
+        The topology is probed per pool, so a changed affinity mask is
+        seen by the next pool.  Pinned workers inherit a shrunken mask,
+        so any worker count they derive (inner tile threads) partitions
+        their slice instead of oversubscribing the machine.  Records the
+        placement gauges the composition tests audit:
+        ``engine.cpu_budget.total`` (the effective CPU count),
+        ``engine.pool.workers``, and ``engine.pool.cpus_granted``
+        (distinct CPUs the workers may use — never above the total).
         """
-        budget = cpu_budget()
-        lease = None
+        topology = probe_topology()
+        ctx = multiprocessing.get_context()
         init = None
         initargs: tuple = ()
-        kwargs: dict = {}
-        if self._resolve_pin(workers):
-            lease = budget.claim(workers, label="engine")
-            ctx = multiprocessing.get_context()
-            pin_q = ctx.Queue()
-            for s in lease.slices:
-                pin_q.put(tuple(s))
-            init, initargs = _pin_worker, (pin_q,)
-            kwargs["mp_context"] = ctx
-        telemetry.gauge("engine.cpu_budget.total", budget.total)
+        granted = min(workers, topology.n_cpus)
+        if pins_workers(workers):
+            slices = cpu_slices(workers, topology)
+            granted = len({c for s in slices for c in s})
+            init, initargs = _pin_worker, (slices, ctx.Value("i", 0))
+        telemetry.gauge("engine.cpu_budget.total", topology.n_cpus)
         telemetry.gauge("engine.pool.workers", workers)
-        telemetry.gauge(
-            "engine.pool.cpus_granted",
-            len(lease.cpus) if lease is not None
-            else min(workers, budget.total),
-        )
+        telemetry.gauge("engine.pool.cpus_granted", granted)
         pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=init, initargs=initargs, **kwargs
+            max_workers=workers, mp_context=ctx,
+            initializer=init, initargs=initargs,
         )
         try:
             yield pool
         finally:
             pool.shutdown(wait=True)
-            if lease is not None:
-                budget.release(lease)
 
     # -- single runs ---------------------------------------------------------
 
@@ -620,13 +601,11 @@ def configure(
     cache_dir: str | None = None,
     use_cache: bool | None = None,
     shard="auto",
-    pin: bool | None = None,
 ) -> ExperimentEngine:
     """Install the process-global engine (called by the CLI front-end)."""
     global _engine
     _engine = ExperimentEngine(
-        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, shard=shard,
-        pin=pin,
+        jobs=jobs, cache_dir=cache_dir, use_cache=use_cache, shard=shard
     )
     return _engine
 

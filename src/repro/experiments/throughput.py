@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cluster.system import System
-from repro.cluster.workloads import WorkloadSpec, generate_workload
+from repro.experiments.workloads import WorkloadSpec, generate_workload
 from repro.core.pvt import PowerVariationTable
 from repro.core.resource_manager import PowerAwareRM, ScheduleResult
 from repro.exec import (

@@ -11,28 +11,22 @@ from repro.util.stats import (
 )
 from repro.util.tables import render_table
 from repro.util.topology import (
-    CpuBudget,
-    CpuLease,
     NumaNode,
     NumaTopology,
-    cpu_budget,
+    cpu_slices,
     effective_cpu_count,
     probe_topology,
-    reset_topology,
 )
 
 __all__ = [
     "as_contiguous_slice",
     "RngFactory",
     "spawn_rng",
-    "CpuBudget",
-    "CpuLease",
     "NumaNode",
     "NumaTopology",
-    "cpu_budget",
+    "cpu_slices",
     "effective_cpu_count",
     "probe_topology",
-    "reset_topology",
     "LinearFit",
     "linear_fit",
     "r_squared",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.workloads import WorkloadSpec, generate_workload
+from repro.experiments.workloads import WorkloadSpec, generate_workload
 from repro.errors import ConfigurationError
 from repro.util.rng import spawn_rng
 

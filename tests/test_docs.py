@@ -73,16 +73,13 @@ class TestReproducingDoc:
     def test_env_knobs_mentioned_exist(self):
         text = (ROOT / "docs" / "REPRODUCING.md").read_text()
         from repro.simmpi import sharding
-        from repro.util import topology
 
         assert sharding._TARGET_ENV in text
-        assert topology._TOPOLOGY_ENV in text
 
     def test_topology_section_documents_the_cli(self):
         """§9 must keep the `repro topo` inspection flow discoverable."""
         text = (ROOT / "docs" / "REPRODUCING.md").read_text()
         assert "repro topo" in text
-        assert "--pin" in text
 
 
 class TestDesignDoc:

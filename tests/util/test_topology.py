@@ -1,5 +1,5 @@
 """Tests for :mod:`repro.util.topology`: the sysfs prober, the flat
-fallback, and the process-wide CPU budget ledger.
+fallback, and the node-major CPU slicing rule.
 
 Synthetic sysfs trees (``tmp_path``) drive the multi-node paths so the
 suite behaves identically on 1-core CI containers and multi-socket
@@ -12,30 +12,21 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.util.topology import (
-    CpuBudget,
     NumaNode,
     NumaTopology,
     _parse_cpulist,
-    _parse_size,
-    _TOPOLOGY_ENV,
-    cpu_budget,
+    cpu_slices,
     effective_cpu_count,
     probe_topology,
-    reset_topology,
 )
 
 
-def make_sysfs(tmp_path, nodes, llc_k=None):
-    """A minimal sysfs tree: node cpulists plus an optional cpu0 LLC."""
+def make_sysfs(tmp_path, nodes):
+    """A minimal sysfs tree: one cpulist file per node."""
     for node_id, cpulist in nodes.items():
         d = tmp_path / "devices/system/node" / f"node{node_id}"
         d.mkdir(parents=True)
         (d / "cpulist").write_text(cpulist + "\n")
-    if llc_k is not None:
-        cache = tmp_path / "devices/system/cpu/cpu0/cache/index3"
-        cache.mkdir(parents=True)
-        (cache / "level").write_text("3\n")
-        (cache / "size").write_text(f"{llc_k}K\n")
     return tmp_path
 
 
@@ -51,23 +42,14 @@ class TestCpulistParsing:
         with pytest.raises(ConfigurationError):
             _parse_cpulist("0-3,zebra")
 
-    def test_sizes(self):
-        assert _parse_size("266240K") == 266240 * 1024
-        assert _parse_size("32M") == 32 * 1024 * 1024
-        assert _parse_size("123") == 123
-        assert _parse_size("huge") is None
-
 
 class TestProbe:
     def test_synthetic_two_node(self, tmp_path):
-        sysfs = make_sysfs(tmp_path, {0: "0-3", 1: "4-7"}, llc_k=1024)
+        sysfs = make_sysfs(tmp_path, {0: "0-3", 1: "4-7"})
         topo = probe_topology(sysfs, affinity=set(range(8)))
         assert topo.source == "sysfs"
         assert topo.n_nodes == 2
         assert topo.cpus == tuple(range(8))
-        assert topo.llc_bytes == 1024 * 1024
-        assert topo.node_of(5) == 1
-        assert topo.node_of(99) == -1
 
     def test_affinity_restricts_nodes(self, tmp_path):
         sysfs = make_sysfs(tmp_path, {0: "0-3", 1: "4-7"})
@@ -93,18 +75,6 @@ class TestProbe:
         topo = probe_topology(sysfs, affinity={8, 9})
         assert topo.source == "flat"
         assert topo.cpus == (8, 9)
-
-    def test_env_forces_flat(self, tmp_path, monkeypatch):
-        sysfs = make_sysfs(tmp_path, {0: "0-1", 1: "2-3"})
-        monkeypatch.setenv(_TOPOLOGY_ENV, "flat")
-        topo = probe_topology(sysfs, affinity={0, 1, 2, 3})
-        assert topo.source == "flat"
-        assert topo.n_nodes == 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(_TOPOLOGY_ENV, "numa-please")
-        with pytest.raises(ConfigurationError, match=_TOPOLOGY_ENV):
-            probe_topology()
 
     def test_live_machine_probe_is_sane(self):
         topo = probe_topology()
@@ -137,57 +107,28 @@ def two_node_topology():
     )
 
 
-class TestCpuBudget:
+class TestCpuSlices:
     def test_slices_partition_node_major(self):
-        budget = CpuBudget(two_node_topology())
-        slices = budget.slices(2)
+        slices = cpu_slices(2, two_node_topology())
         assert slices == ((0, 1, 2, 3), (4, 5, 6, 7))
 
     def test_slices_exact_cover_when_uneven(self):
-        budget = CpuBudget(two_node_topology())
-        slices = budget.slices(3)
+        slices = cpu_slices(3, two_node_topology())
         flat = [c for s in slices for c in s]
         assert sorted(flat) == list(range(8))
         assert len(flat) == len(set(flat))
 
     def test_more_workers_than_cpus_wraps(self):
         topo = NumaTopology(nodes=(NumaNode(0, (0,)),), source="flat")
-        budget = CpuBudget(topo)
-        slices = budget.slices(4)
+        slices = cpu_slices(4, topo)
         assert slices == ((0,), (0,), (0,), (0,))
 
     def test_nonpositive_workers_rejected(self):
-        budget = CpuBudget(two_node_topology())
         with pytest.raises(ConfigurationError):
-            budget.slices(0)
-
-    def test_claim_release_ledger(self):
-        budget = CpuBudget(two_node_topology())
-        assert budget.claimed_cpus == 0
-        lease = budget.claim(2, label="test")
-        assert budget.n_leases == 1
-        assert budget.claimed_cpus == 8
-        assert lease.cpus == tuple(range(8))
-        assert lease.n_workers == 2
-        budget.release(lease)
-        budget.release(lease)  # idempotent
-        assert budget.n_leases == 0
-        assert budget.claimed_cpus == 0
-
-    def test_total_matches_topology(self):
-        budget = CpuBudget(two_node_topology())
-        assert budget.total == 8
+            cpu_slices(0, two_node_topology())
 
 
 class TestProcessGlobals:
-    def test_singleton_and_reset(self):
-        reset_topology()
-        a = cpu_budget()
-        assert cpu_budget() is a
-        reset_topology()
-        assert cpu_budget() is not a
-        reset_topology()
-
     def test_effective_count_matches_affinity(self):
         if hasattr(os, "sched_getaffinity"):
             assert effective_cpu_count() == len(os.sched_getaffinity(0))

@@ -1,7 +1,7 @@
 """Bench: allocation-service throughput against a hot 100k-module fleet.
 
-Acceptance criteria for the service daemon: with the fleet pinned in
-shared memory, the NDJSON round trip (socket, strict decode, cached
+Acceptance criteria for the service daemon: with the fleet hot in the
+daemon's memory, the NDJSON round trip (socket, strict decode, cached
 plan-table allocate, encode) must sustain >= 1,000 allocations/s, and
 under deliberate overload the daemon must degrade gracefully — typed
 rejects, zero protocol errors, reject latency far below handler
@@ -24,7 +24,7 @@ from repro.service.loadgen import run_load
 
 BENCH_FILE = Path(__file__).resolve().parents[1] / "BENCH_service.json"
 
-#: The acceptance fleet and floor: 100k modules hot in shm, >= 1,000
+#: The acceptance fleet and floor: 100k modules hot, >= 1,000
 #: solved allocation round trips per second over the unix socket.
 SERVICE_MODULES = 100_000
 MIN_SERVICE_QPS = 1_000.0

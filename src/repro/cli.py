@@ -18,8 +18,8 @@ Sweep experiments route through the execution engine
 (:mod:`repro.exec`): ``--jobs`` fans cache misses out over a process
 pool, ``--cache-dir``/``--no-cache`` control the persistent run cache,
 and ``--stats`` prints per-run observability afterwards.  Cache misses
-sharing a system/fleet/app run as one vectorised config batch, with
-fleets handed to workers once via shared memory.  Engine results are
+sharing a system/fleet/app run as one vectorised config batch, and
+each worker rebuilds the fleets it needs from their keys.  Engine results are
 bit-identical regardless of ``--jobs`` and cache state (see
 ``tests/exec/``), so the flags trade time, never accuracy.
 ``repro stats <experiment>`` runs one experiment with telemetry on and

@@ -28,13 +28,6 @@ from repro.exec.metrics import BatchRecord, RunRecord, RunStats
 # Re-exported so front-ends (the CLI) can pin shard layout without a
 # direct cli -> simmpi import edge; the engine owns the knob.
 from repro.simmpi.sharding import ShardPlan, ShardSpec
-from repro.exec.shared import (
-    SharedFleet,
-    attach_fleet,
-    destroy_fleet,
-    export_fleet,
-    fleet_pvt,
-)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -52,9 +45,4 @@ __all__ = [
     "RunStats",
     "ShardPlan",
     "ShardSpec",
-    "SharedFleet",
-    "attach_fleet",
-    "destroy_fleet",
-    "export_fleet",
-    "fleet_pvt",
 ]

@@ -30,6 +30,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -53,13 +54,6 @@ from repro.core.runner import (
 from repro.errors import InfeasibleBudgetError
 from repro.exec.cache import ResultCache, RunKey
 from repro.exec.metrics import RunStats
-from repro.exec.shared import (
-    SharedFleet,
-    attach_fleet,
-    destroy_fleet,
-    export_fleet,
-    fleet_pvt,
-)
 from repro.hardware.microarch import Microarchitecture, get_microarch
 from repro.util.topology import cpu_slices, effective_cpu_count, probe_topology
 
@@ -126,8 +120,6 @@ def _pvt_for(spec: _SystemSpec) -> PowerVariationTable:
     return generate_pvt(_system_for(spec))
 
 
-
-
 def execute_key(key: RunKey) -> RunResult:
     """Execute the run a :class:`RunKey` describes (no cache involved).
 
@@ -172,19 +164,20 @@ def _execute_key(key: RunKey) -> RunResult:
     )
 
 
-#: Fault-injection hook for the worker wrappers: set to ``"kill"`` to
-#: SIGKILL a pool worker at task start.  Only fires in actual pool
-#: children (``_pool_run`` also executes inline when ``jobs == 1``,
-#: where dying would kill the caller, not simulate a worker crash).
-#: Used by the overload/fault tests to prove callers get a typed
-#: retryable error rather than a hang.
+#: Fault-injection hook: with ``REPRO_ENGINE_FAULT=kill`` in the
+#: caller's environment, every pool task of a sweep SIGKILLs its worker
+#: at task start.  The parent reads the variable when it starts the pool
+#: and hands it to each task: a forkserver worker sees the environment
+#: the server started with, not the caller's current one.  Inline runs
+#: (``jobs == 1``) never receive it, since dying there would kill the
+#: caller, not simulate a worker crash.  Used by the overload/fault
+#: tests to prove callers get a typed retryable error rather than a hang.
 _FAULT_ENV = "REPRO_ENGINE_FAULT"
 
 
-def _maybe_inject_fault() -> None:
-    if os.environ.get(_FAULT_ENV) == "kill":
-        if multiprocessing.parent_process() is not None:
-            os.kill(os.getpid(), signal.SIGKILL)
+def _maybe_inject_fault(fault: str | None) -> None:
+    if fault == "kill":
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def pins_workers(workers: int) -> bool:
@@ -194,15 +187,27 @@ def pins_workers(workers: int) -> bool:
     return workers > 1 and hasattr(os, "sched_setaffinity")
 
 
+def _mp_context() -> multiprocessing.context.BaseContext:
+    """The one start method for engine pools: a forkserver that has
+    preloaded this module, or the platform default where no forkserver
+    exists."""
+    try:
+        ctx = multiprocessing.get_context("forkserver")
+    except ValueError:
+        return multiprocessing.get_context()
+    ctx.set_forkserver_preload(["repro.exec.engine"])
+    return ctx
+
+
 def _pin_worker(slices: tuple[tuple[int, ...], ...], taken) -> None:
     """Pool-worker initializer: pin to the next unclaimed slice.
 
     ``taken`` is a lock-guarded shared counter, so the hand-off needs no
     background thread in the parent (a :class:`multiprocessing.Queue`
-    would fork the workers from a multi-threaded process).  Only CPUs
-    inside the inherited affinity mask are used, and a worker with no
-    slice left, or whose mask raced a cgroup change, runs unpinned:
-    placement may never fail or stall a run."""
+    would start a feeder thread).  Only CPUs inside the inherited
+    affinity mask are used, and a worker with no slice left, or whose
+    mask raced a cgroup change, runs unpinned: placement may never fail
+    or stall a run."""
     try:
         with taken.get_lock():
             index = taken.value
@@ -214,11 +219,34 @@ def _pin_worker(slices: tuple[tuple[int, ...], ...], taken) -> None:
         pass
 
 
-def _pool_run(key: RunKey) -> tuple[str, object, float]:
+def _exit_with_owner(owner) -> None:
+    """Pool-worker watchdog: ``owner`` is the read end of a pipe whose
+    only write end the pool's owner holds, so it turns readable (EOF)
+    exactly when the owner dies without shutting the pool down — a
+    ``kill -9``.  The worker then exits: left alone it would wait forever
+    on a task queue whose write end it holds itself."""
+    owner.poll(None)
+    os._exit(1)
+
+
+def _init_worker(owner, slices, taken) -> None:
+    """Pool-worker initializer: watch the owner, then pin (``slices`` is
+    ``None`` where :func:`pins_workers` says not to)."""
+    threading.Thread(
+        target=_exit_with_owner, args=(owner,), name="repro-owner-watch",
+        daemon=True,
+    ).start()
+    if slices is not None:
+        _pin_worker(slices, taken)
+
+
+def _pool_run(
+    key: RunKey, fault: str | None = None
+) -> tuple[str, object, float]:
     """Worker-side wrapper: never lets an InfeasibleBudgetError cross the
     process boundary (its multi-argument ``__init__`` does not survive
     pickling); returns a tagged tuple plus the measured wall time."""
-    _maybe_inject_fault()
+    _maybe_inject_fault(fault)
     t0 = perf_counter()
     try:
         result = execute_key(key)
@@ -244,14 +272,14 @@ def _group_signature(key: RunKey) -> tuple:
 
 
 def _run_group(
-    keys: Sequence[RunKey], handle: SharedFleet | None = None, shard="auto"
+    keys: Sequence[RunKey], shard="auto"
 ) -> list[tuple[str, object]]:
     """Execute one batched group; per-key tagged outcomes, input order.
 
-    ``handle`` selects the fleet source: ``None`` builds/caches the
-    system in-process (:func:`_system_for`), a :class:`SharedFleet`
-    attaches the parent-exported block (worker side).  Either way the
-    runs are bit-identical to per-key :func:`execute_key` calls.
+    The system and PVT come from this process's :func:`_system_for` /
+    :func:`_pvt_for` caches (a pool worker rebuilds them from the key's
+    keyed RNG streams), so the runs are bit-identical to per-key
+    :func:`execute_key` calls in any process.
 
     ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`
     unchanged.  It is execution layout only — results, and therefore
@@ -260,12 +288,8 @@ def _run_group(
     """
     key0 = keys[0]
     spec = _spec(key0)
-    if handle is None:
-        system = _system_for(spec)
-        pvt = _pvt_for(spec)
-    else:
-        system = attach_fleet(handle)
-        pvt = fleet_pvt(handle)
+    system = _system_for(spec)
+    pvt = _pvt_for(spec)
     app = get_app(key0.app)
     if key0.app_overrides:
         app = app.with_(**dict(key0.app_overrides))
@@ -291,12 +315,12 @@ def _run_group(
 
 
 def _pool_run_group(
-    handle: SharedFleet | None, keys: tuple[RunKey, ...], shard="auto"
+    keys: tuple[RunKey, ...], shard="auto", fault: str | None = None
 ) -> tuple[list[tuple[str, object]], float]:
     """Worker-side group wrapper: tagged per-key outcomes + group wall."""
-    _maybe_inject_fault()
+    _maybe_inject_fault(fault)
     t0 = perf_counter()
-    tagged = _run_group(keys, handle=handle, shard=shard)
+    tagged = _run_group(keys, shard=shard)
     return tagged, perf_counter() - t0
 
 
@@ -355,7 +379,18 @@ class ExperimentEngine:
 
     @contextmanager
     def _pool(self, workers: int):
-        """A :class:`ProcessPoolExecutor` placed by :func:`pins_workers`.
+        """A :class:`ProcessPoolExecutor` started from a forkserver and
+        placed by :func:`pins_workers`.
+
+        Every pool starts its workers from :func:`_mp_context`, so the
+        caller's process never forks: a daemon handler thread or a live
+        pool thread cannot leave a child holding a lock that no thread
+        will release.  Workers need nothing inherited; each rebuilds the
+        fleets its tasks name from their keys.  A script that creates a
+        ``jobs > 1`` engine must therefore guard its entry point with
+        ``if __name__ == "__main__":``, as with any non-fork start.
+        Workers exit when the pool's owner dies (:func:`_exit_with_owner`),
+        so a ``kill -9`` of the caller leaves no process behind.
 
         The topology is probed per pool, so a changed affinity mask is
         seen by the next pool.  Pinned workers inherit a shrunken mask,
@@ -367,25 +402,27 @@ class ExperimentEngine:
         (distinct CPUs the workers may use — never above the total).
         """
         topology = probe_topology()
-        ctx = multiprocessing.get_context()
-        init = None
-        initargs: tuple = ()
+        ctx = _mp_context()
+        slices = taken = None
         granted = min(workers, topology.n_cpus)
         if pins_workers(workers):
             slices = cpu_slices(workers, topology)
             granted = len({c for s in slices for c in s})
-            init, initargs = _pin_worker, (slices, ctx.Value("i", 0))
+            taken = ctx.Value("i", 0)
         telemetry.gauge("engine.cpu_budget.total", topology.n_cpus)
         telemetry.gauge("engine.pool.workers", workers)
         telemetry.gauge("engine.pool.cpus_granted", granted)
+        owner_r, owner_w = ctx.Pipe(duplex=False)
         pool = ProcessPoolExecutor(
             max_workers=workers, mp_context=ctx,
-            initializer=init, initargs=initargs,
+            initializer=_init_worker, initargs=(owner_r, slices, taken),
         )
         try:
             yield pool
         finally:
             pool.shutdown(wait=True)
+            owner_r.close()
+            owner_w.close()
 
     # -- single runs ---------------------------------------------------------
 
@@ -466,9 +503,10 @@ class ExperimentEngine:
         batched α-solve per scheme, one 2-D simulation.  Uncapped keys
         and singleton groups run one at a time through
         :func:`execute_key`.  With
-        ``jobs > 1`` each distinct fleet ships to the worker pool once
-        through :mod:`repro.exec.shared` (zero-copy shared-memory views)
-        and each group or single key is one pool task.
+        ``jobs > 1`` each group or single key is one pool task, and each
+        worker rebuilds the fleets it needs from their keys
+        (:func:`_system_for`); nothing fleet-sized crosses the process
+        boundary.
 
         Results, cache payloads, key digests, and infeasible semantics
         are bit-identical to running each key alone with :meth:`run`;
@@ -510,35 +548,26 @@ class ExperimentEngine:
 
         n_tasks = len(groups) + len(singles)
         if self.jobs > 1 and n_tasks > 1:
-            handles: dict[tuple, SharedFleet] = {}
-            try:
-                for members in groups:
-                    spec = _spec(members[0][1])
-                    if spec not in handles:
-                        handles[spec] = export_fleet(_system_for(spec))
-                workers = min(self.jobs, n_tasks)
-                with self._pool(workers) as pool:
-                    group_futs = [
-                        pool.submit(
-                            _pool_run_group,
-                            handles[_spec(members[0][1])],
-                            tuple(k for _, k in members),
-                            self.shard,
-                        )
-                        for members in groups
-                    ]
-                    single_futs = [
-                        pool.submit(_pool_run, key) for _, key in singles
-                    ]
-                    for members, fut in zip(groups, group_futs):
-                        tagged, wall_s = fut.result()
-                        _fold_group(members, tagged, wall_s)
-                    for (i, _key), fut in zip(singles, single_futs):
-                        tag, payload, wall_s = fut.result()
-                        outcome[i] = (tag, payload, wall_s)
-            finally:
-                for handle in handles.values():
-                    destroy_fleet(handle)
+            fault = os.environ.get(_FAULT_ENV)
+            with self._pool(min(self.jobs, n_tasks)) as pool:
+                group_futs = [
+                    pool.submit(
+                        _pool_run_group,
+                        tuple(k for _, k in members),
+                        self.shard,
+                        fault,
+                    )
+                    for members in groups
+                ]
+                single_futs = [
+                    pool.submit(_pool_run, key, fault) for _, key in singles
+                ]
+                for members, fut in zip(groups, group_futs):
+                    tagged, wall_s = fut.result()
+                    _fold_group(members, tagged, wall_s)
+                for (i, _key), fut in zip(singles, single_futs):
+                    tag, payload, wall_s = fut.result()
+                    outcome[i] = (tag, payload, wall_s)
         else:
             for members in groups:
                 t0 = perf_counter()

@@ -19,15 +19,7 @@ from repro.cluster.system import System
 from repro.experiments.workloads import WorkloadSpec, generate_workload
 from repro.core.pvt import PowerVariationTable
 from repro.core.resource_manager import PowerAwareRM, ScheduleResult
-from repro.exec import (
-    ExperimentEngine,
-    SharedFleet,
-    attach_fleet,
-    destroy_fleet,
-    export_fleet,
-    fleet_pvt,
-    get_engine,
-)
+from repro.exec import ExperimentEngine, get_engine
 from repro.experiments.common import ha8k, ha8k_pvt
 from repro.util.tables import render_table
 
@@ -63,18 +55,13 @@ class ThroughputPoint:
 
 
 def _run_schedule(
-    args: tuple[int, int, float, float, str, SharedFleet | None],
+    args: tuple[int, int, float, float, str],
 ) -> tuple[float, float, float]:
     """One (load, admission-policy) scheduling run (picklable fan-out
-    unit).  With a :class:`SharedFleet` handle the worker attaches the
-    parent-exported fleet (zero-copy views, PVT regenerated once per
-    process — bit-identical); without one it rebuilds the cached
-    system/PVT in-process."""
-    n_modules, n_jobs, ia, cm_w, admission, handle = args
-    if handle is not None:
-        base, base_pvt = attach_fleet(handle), fleet_pvt(handle)
-    else:
-        base, base_pvt = ha8k(1920), ha8k_pvt(1920)
+    unit) on the cached HA8K system/PVT, which a pool worker rebuilds
+    bit-identically from its keyed RNG streams."""
+    n_modules, n_jobs, ia, cm_w, admission = args
+    base, base_pvt = ha8k(1920), ha8k_pvt(1920)
     res = _schedule(base, base_pvt, n_modules, n_jobs, ia, cm_w, admission)
     return res.makespan_s, res.mean_wait_s, res.mean_turnaround_s
 
@@ -113,21 +100,14 @@ def run_throughput(
 ) -> list[ThroughputPoint]:
     """Sweep offered load and run both admission policies."""
     engine = engine if engine is not None else get_engine()
-    # Worker fan-out ships the base fleet once via shared memory instead
-    # of rebuilding 1,920 modules of variation in every worker.
-    handle = export_fleet(ha8k(1920)) if engine.jobs > 1 else None
     tasks = [
-        (n_modules, n_jobs, ia, cm_w, admission, handle)
+        (n_modules, n_jobs, ia, cm_w, admission)
         for ia in interarrivals
         for admission in ("power-aware", "worst-case")
     ]
-    try:
-        outcomes = iter(
-            engine.map(_run_schedule, tasks, label="throughput/schedule")
-        )
-    finally:
-        if handle is not None:
-            destroy_fleet(handle)
+    outcomes = iter(
+        engine.map(_run_schedule, tasks, label="throughput/schedule")
+    )
     points = []
     for ia in interarrivals:
         aware = next(outcomes)

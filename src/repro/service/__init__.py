@@ -3,7 +3,7 @@
 The paper's variation-aware schemes started here as one-shot batch
 sweeps; this package turns them into a long-lived, multi-tenant
 *service* in the mold of production node-resource managers: a daemon
-(``repro serve``) holds hot fleets in POSIX shared memory, answers
+(``repro serve``) holds hot fleets in memory, answers
 allocation queries from cached power-model tables at thousands of
 queries/sec, runs full digest-addressed sweeps through the experiment
 engine, re-solves the global α on every job admit/depart or budget

@@ -395,11 +395,9 @@ class FleetSpec:
 class FleetHandle:
     """A hosted fleet, as the service addresses it.
 
-    ``shm_name`` names the POSIX shared-memory block the service
-    exported the fleet's variation arrays to (empty when the service
-    was configured not to export), in the layout
-    :func:`repro.exec.shared.attach_fleet` maps.  Nothing in the package
-    attaches it: sweeps export their own copy.
+    ``shm_name`` is always the empty string.  The service exports no
+    shared-memory block; the field stays so the v1 wire format is
+    unchanged.
     """
 
     fleet_id: str

@@ -24,9 +24,11 @@ a sweep simulates.
 
 Shutdown is a drain, never a drop: SIGTERM/SIGINT (or a ``drain``
 request) stops the listeners, answers new requests with a retryable
-``draining`` error, waits for in-flight work, then destroys every
-hosted fleet's shared-memory block before exiting — the smoke test
-asserts ``/dev/shm`` is clean afterwards.
+``draining`` error, waits for in-flight work, then forgets every
+hosted fleet before exiting.  The daemon holds no state outside its
+own process but its socket file, so a killed daemon leaves nothing else
+to reclaim, and sweep pools start from a forkserver, so its threads
+never fork.
 
 :func:`serve` is the blocking entry point behind ``repro serve``;
 :class:`BackgroundServer` hosts the same daemon on a worker thread for
@@ -76,7 +78,7 @@ class ServiceDaemon:
     Parameters
     ----------
     service:
-        The engine to serve (owned: drain destroys its fleets).
+        The engine to serve (owned: drain closes its fleets).
     socket_path / port / http_port:
         Listeners to open; at least one must be given.  ``port`` serves
         the NDJSON protocol over TCP, ``http_port`` the HTTP adapter
@@ -166,7 +168,7 @@ class ServiceDaemon:
             await server.wait_closed()
         while self._inflight > 0:
             await asyncio.sleep(0.005)
-        # All replies written: release the hot fleets' shm blocks.
+        # All replies written: forget the hot fleets.
         self.service.close_all()
         self._pool.shutdown(wait=True)
         if self.socket_path is not None and os.path.exists(self.socket_path):
@@ -442,7 +444,7 @@ def serve(
         if not quiet:
             print(
                 f"opened {handle.fleet_id}: {handle.system} "
-                f"n={handle.n_modules:,} (shm {handle.shm_name or 'off'})"
+                f"n={handle.n_modules:,}"
             )
     def _announce() -> None:
         # Runs after the listeners open: daemon.port / daemon.http_port
@@ -464,21 +466,16 @@ def serve(
             flush=True,
         )
 
-    try:
-        asyncio.run(
-            daemon.run_until_drained(install_signals=True, on_ready=_announce)
-        )
-    finally:
-        # Belt and braces: the drain already destroyed the fleets, but a
-        # loop crash must never leak shm blocks.
-        service.close_all()
+    asyncio.run(
+        daemon.run_until_drained(install_signals=True, on_ready=_announce)
+    )
 
 
 class BackgroundServer:
     """A :class:`ServiceDaemon` on a worker thread, for tests/docs/bench.
 
     Context-manager protocol: entering starts the daemon and waits for
-    its listeners, exiting drains it (fleets destroyed, shm released).
+    its listeners, exiting drains it (fleets closed).
     ``server.service`` is the engine — opening fleets directly on it is
     the cheap way to pre-warm before pointing a client at
     ``server.address``.

@@ -1,8 +1,7 @@
 """The in-process allocation engine behind the service daemon.
 
 :class:`AllocationService` hosts *hot fleets*: each opened fleet is
-built once, exported to POSIX shared memory via
-:func:`repro.exec.shared.export_fleet`, and kept warm together with its
+built once and kept warm in the daemon's memory together with its
 per-(app, scheme) power-model tables.  Against those tables, the three
 request families cost very different amounts:
 
@@ -52,9 +51,8 @@ from repro.core.budget import _solve_eq6, fs_derate
 from repro.core.model import LinearPowerModel
 from repro.core.pvt import PowerVariationTable, generate_pvt
 from repro.core.schemes import available_schemes, get_scheme
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.exec import ExperimentEngine, RunKey
-from repro.exec.shared import SharedFleet, destroy_fleet, export_fleet
 from repro.service.api import (
     AllocationRequest,
     AllocationResult,
@@ -122,7 +120,6 @@ class _FleetState:
     fleet_id: str
     spec: FleetSpec
     system: object
-    handle: SharedFleet | None
     budget_w: float
     app: str = "bt"
     scheme: str = "vafsor"
@@ -148,9 +145,11 @@ class AllocationService:
         Share an existing engine (and its cache) instead of building a
         private uncached one.
     export_shm:
-        Export opened fleets to shared memory (the daemon's default).
-        ``False`` keeps everything private to the process — used by
-        in-process callers that never fan out.
+        Accepts only ``False``; ``True`` raises
+        :class:`~repro.errors.ConfigurationError`.  Fleets are never
+        exported (sweep workers rebuild them from their keys), and the
+        keyword remains only because the benchmark harness still passes
+        ``export_shm=False``.  A benchmark change drops it.
     """
 
     def __init__(
@@ -158,11 +157,14 @@ class AllocationService:
         *,
         jobs: int = 1,
         engine: ExperimentEngine | None = None,
-        export_shm: bool = True,
+        export_shm: bool = False,
     ):
+        if export_shm:
+            raise ConfigurationError(
+                "shared-memory fleet export was removed; pass export_shm=False"
+            )
         self._lock = threading.RLock()
         self._engine = engine if engine is not None else ExperimentEngine(jobs=jobs)
-        self._export = bool(export_shm)
         self._fleets: dict[str, _FleetState] = {}
         self._next_id = 0
         self._closed = False
@@ -170,7 +172,7 @@ class AllocationService:
     # -- fleet lifecycle -------------------------------------------------------
 
     def open_fleet(self, spec: FleetSpec) -> FleetHandle:
-        """Build the fleet, export it hot, and return its handle."""
+        """Build the fleet, keep it hot, and return its handle."""
         with self._lock:
             self._check_open()
             fleet_id = spec.fleet_id or f"fleet-{self._next_id}"
@@ -194,12 +196,10 @@ class AllocationService:
                 raise
             except ReproError as exc:
                 raise ServiceError("bad-request", str(exc))
-            handle = export_fleet(system) if self._export else None
             self._fleets[fleet_id] = _FleetState(
                 fleet_id=fleet_id,
                 spec=spec,
                 system=system,
-                handle=handle,
                 budget_w=DEFAULT_CM_W * spec.n_modules,
             )
             telemetry.count("service.fleets_opened")
@@ -208,26 +208,19 @@ class AllocationService:
                 system=spec.system,
                 n_modules=spec.n_modules,
                 seed=spec.seed,
-                shm_name=handle.shm_name if handle is not None else "",
             )
 
     def close_fleet(self, fleet_id: str) -> None:
-        """Destroy the fleet's shared-memory block and forget it."""
+        """Forget the fleet and its cached tables."""
         with self._lock:
-            state = self._fleets.pop(fleet_id, None)
-            if state is None:
+            if self._fleets.pop(fleet_id, None) is None:
                 raise ServiceError("unknown-fleet", f"no open fleet {fleet_id!r}")
-            if state.handle is not None:
-                destroy_fleet(state.handle)
 
     def close_all(self) -> None:
-        """Drain path: destroy every hosted fleet (idempotent)."""
+        """Drain path: forget every hosted fleet (idempotent)."""
         with self._lock:
             self._closed = True
-            while self._fleets:
-                _fid, state = self._fleets.popitem()
-                if state.handle is not None:
-                    destroy_fleet(state.handle)
+            self._fleets.clear()
 
     @property
     def n_fleets(self) -> int:
@@ -376,8 +369,8 @@ class AllocationService:
             )
         except BrokenProcessPool:
             # A pool worker died mid-sweep (OOM kill, crash, fault
-            # injection).  The engine's `finally` has already destroyed
-            # the exported fleet blocks; the request is safe to retry.
+            # injection).  Nothing was cached for the failed keys, so
+            # the request is safe to retry.
             raise ServiceError(
                 "worker-crashed",
                 "an engine worker died mid-sweep; the request is safe "

@@ -1,12 +1,11 @@
 """Suite-wide fixtures.
 
-The fleet handoff (``repro.exec.shared``) — used by the ``--jobs``
-engine pool, the batched sweeps and the allocation service — exports
-fleets to named POSIX shared memory; a bug in a teardown path (or an
-un-cleaned fault-injection path) would leak ``psm_*`` segments into
-``/dev/shm`` where they persist past the interpreter.  The autouse
-fixture below turns every test into a leak check: it snapshots the
-segment names before the test and fails if new ones survive it.
+Nothing in the package creates named POSIX shared memory: engine pool
+workers rebuild their fleets from run keys, and the allocation service
+keeps its fleets in process.  A ``psm_*`` segment left in ``/dev/shm``
+would persist past the interpreter, so the autouse fixture below turns
+every test into a leak check: it snapshots the segment names before the
+test and fails if new ones survive it.
 """
 
 import os
@@ -22,6 +21,12 @@ def _psm_segments() -> set[str]:
     except OSError:  # platform without /dev/shm — nothing to check
         return set()
     return {n for n in names if n.startswith("psm_")}
+
+
+@pytest.fixture()
+def psm_segments():
+    """The ``psm_*`` segment lister, for tests that check mid-test."""
+    return _psm_segments
 
 
 @pytest.fixture(autouse=True)

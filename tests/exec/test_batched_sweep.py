@@ -2,7 +2,7 @@
 
 :meth:`ExperimentEngine.submit_sweep` groups pending keys that share a
 system/fleet/app and executes each group as one vectorised pass (with
-``jobs > 1``, fleets ship to workers once through shared memory).
+``jobs > 1``, each pool worker rebuilds the fleet from the keys).
 Everything observable must match running each key alone
 (:meth:`ExperimentEngine.run`, a one-config batch) bit-for-bit: results,
 cached NPZ payloads, key digests, and infeasible semantics.
@@ -16,16 +16,8 @@ import pytest
 from repro.apps import get_app
 from repro.core.runner import run_budgeted, run_budgeted_batched
 from repro.errors import InfeasibleBudgetError
-from repro.exec import (
-    ExperimentEngine,
-    RunKey,
-    attach_fleet,
-    destroy_fleet,
-    execute_key,
-    export_fleet,
-    fleet_pvt,
-)
-from repro.exec.engine import _group_signature, _pvt_for, _spec, _system_for
+from repro.exec import ExperimentEngine, RunKey, execute_key
+from repro.exec.engine import _group_signature, _spec, _system_for
 from repro.experiments.common import DEFAULT_SEED
 
 pytestmark = pytest.mark.slow
@@ -99,7 +91,7 @@ class TestBatchedBitIdentity:
         assert engine.stats.n_batches == 2
         assert engine.stats.batched_keys == 24
 
-    def test_batched_pool_shared_memory_equals_sequential(
+    def test_batched_pool_equals_sequential(
         self, sequential_reference
     ):
         engine = ExperimentEngine(jobs=4)
@@ -221,31 +213,3 @@ class TestActuationDedup:
                     getattr(a, field), getattr(b, field)
                 ), field
             assert not np.shares_memory(a.trace.total_s, b.trace.total_s)
-
-
-class TestSharedFleet:
-    def test_export_attach_roundtrip_is_bit_identical(self):
-        system = _system_for(_spec(SWEEP[0]))
-        handle = export_fleet(system)
-        try:
-            attached = attach_fleet(handle)
-            assert attached.name == system.name
-            assert attached.n_modules == system.n_modules
-            for field in ("leak", "dyn", "dram", "perf"):
-                a = getattr(attached.modules.variation, field)
-                w = getattr(system.modules.variation, field)
-                assert np.array_equal(a, w), field
-                assert not a.flags.writeable
-            # The worker-side PVT build reproduces the parent's exactly.
-            pvt, want = fleet_pvt(handle), _pvt_for(_spec(SWEEP[0]))
-            for col in ("scale_cpu_max", "scale_cpu_min",
-                        "scale_dram_max", "scale_dram_min"):
-                assert np.array_equal(getattr(pvt, col), getattr(want, col)), col
-        finally:
-            destroy_fleet(handle)
-
-    def test_destroy_is_idempotent(self):
-        system = _system_for(_spec(SWEEP[0]))
-        handle = export_fleet(system)
-        destroy_fleet(handle)
-        destroy_fleet(handle)

@@ -6,13 +6,15 @@ pinned workers inherit the shrunken mask, so inner tile threads sized
 from it partition the machine instead of oversubscribing it.  The tests
 read the masks the workers actually run under, the placement gauges the
 engine records (``engine.cpu_budget.total`` / ``engine.pool.workers`` /
-``engine.pool.cpus_granted``), and the threads alive in the parent when
-the workers fork.
+``engine.pool.cpus_granted``), and every fork the engine or the service
+daemon makes from the test process (there must be none: pools start
+from a forkserver).
 """
 
 import multiprocessing
 import os
 import threading
+from contextlib import contextmanager
 
 import pytest
 
@@ -25,21 +27,41 @@ needs_affinity = pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity"), reason="no CPU affinity support"
 )
 
-#: Thread snapshots taken by the fork hook, one list per recording test.
-#: ``os.register_at_fork`` hooks cannot be unregistered, so the hook is
-#: installed once and only records while a test owns an entry here.
-_FORK_LOGS: list[list[list[threading.Thread]]] = []
+#: Thread-name snapshots taken by the fork hook, one list per recording
+#: test.  ``os.register_at_fork`` hooks cannot be unregistered, so the
+#: hook is installed once and only records while a test owns an entry.
+_FORK_LOGS: list[list[list[str]]] = []
 _FORK_HOOK_INSTALLED = False
 
 
 def _snapshot_threads_at_fork() -> None:
     for log in _FORK_LOGS:
-        log.append(threading.enumerate())
+        log.append([t.name for t in threading.enumerate()])
+
+
+@contextmanager
+def _forks_from_this_process():
+    """Yield a list that records the live threads at every fork this
+    process makes inside the block."""
+    global _FORK_HOOK_INSTALLED
+    if not _FORK_HOOK_INSTALLED:
+        os.register_at_fork(before=_snapshot_threads_at_fork)
+        _FORK_HOOK_INSTALLED = True
+    log: list[list[str]] = []
+    _FORK_LOGS.append(log)
+    try:
+        yield log
+    finally:
+        _FORK_LOGS.remove(log)
 
 
 def _placement(_item):
     """Where a task ran: its process id and CPU affinity mask."""
     return os.getpid(), os.sched_getaffinity(0)
+
+
+def _pid(_item):
+    return os.getpid()
 
 
 @pytest.fixture
@@ -125,23 +147,42 @@ class TestWorkerPinning:
         assert taken.value == n_procs
 
     def test_no_engine_thread_alive_when_workers_fork(self):
-        """The slice hand-off must not start a thread in the parent:
-        forking a multi-threaded process can deadlock the child."""
-        global _FORK_HOOK_INSTALLED
-        if not _FORK_HOOK_INSTALLED:
-            os.register_at_fork(before=_snapshot_threads_at_fork)
-            _FORK_HOOK_INSTALLED = True
-        before = set(threading.enumerate())
-        log: list[list[threading.Thread]] = []
-        _FORK_LOGS.append(log)
-        try:
-            ExperimentEngine(jobs=2).map(abs, [-1, 2, -3, 4])
-        finally:
-            _FORK_LOGS.remove(log)
-        if multiprocessing.get_start_method() == "fork":
-            assert log, "pool workers were not forked from this process"
-        for alive in log:
-            assert [t.name for t in alive if t not in before] == []
+        """A pooled ``map`` forks nothing from the calling process: its
+        workers come from a forkserver, so no live thread of the caller
+        (a pool's manager thread, a daemon's handlers) can leave a child
+        holding a lock that no thread will release."""
+        with _forks_from_this_process() as log:
+            pids = ExperimentEngine(jobs=2).map(_pid, range(4))
+        assert os.getpid() not in pids
+        assert log == []
+
+    def test_daemon_sweep_forks_nothing(self):
+        """The service daemon runs sweeps on its handler threads while
+        its listener thread is alive; a ``jobs=2`` sweep through it must
+        still fork nothing from this process."""
+        from repro.service.api import FleetSpec, SweepRequest
+        from repro.service.client import ServiceClient
+        from repro.service.daemon import BackgroundServer
+        from repro.service.engine import AllocationService
+
+        n = 32
+        with _forks_from_this_process() as log:
+            with BackgroundServer(AllocationService(jobs=2)) as server:
+                with ServiceClient(server.address, timeout=120.0) as client:
+                    client.open_fleet(
+                        FleetSpec(system="ha8k", n_modules=n, seed=5,
+                                  fleet_id="f0")
+                    )
+                    # Two apps give two batch groups, so the pool engages.
+                    result = client.sweep(
+                        SweepRequest(
+                            fleet_id="f0", apps=("bt", "sp"),
+                            schemes=("vafsor",), budgets_w=(80.0 * n,),
+                            n_iters=3, noisy=False,
+                        )
+                    )
+        assert len(result.runs) == 2
+        assert log == []
 
 
 class TestAffinityDerivedDefaults:

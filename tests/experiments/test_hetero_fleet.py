@@ -1,4 +1,4 @@
-"""Mixed CPU+GPU fleet experiment: goldens, batching, shared memory.
+"""Mixed CPU+GPU fleet experiment: goldens and batching.
 
 The golden pins freeze the headline numbers of the heterogeneous
 analogue of Fig 7 / Table 4 — the variation-aware schemes' advantage
@@ -12,7 +12,6 @@ import pytest
 from repro.apps import get_app
 from repro.cluster import build_hetero_system
 from repro.core.runner import run_budgeted, run_budgeted_batched, run_uncapped
-from repro.exec.shared import attach_fleet, destroy_fleet, export_fleet
 from repro.experiments.hetero_fleet import (
     HETERO_SCHEMES,
     format_hetero,
@@ -109,50 +108,3 @@ class TestMixedBatchedBitIdentity:
         assert np.array_equal(
             batch[0].effective_freq_ghz, batch[1].effective_freq_ghz
         )
-
-
-class TestSharedMemoryRoundTrip:
-    def test_mixed_fleet_survives_export_attach(self):
-        system = build_hetero_system(
-            [("cpu-ivy-bridge-e5-2697v2", 16), ("gpu-v100-sxm2", 16)], seed=5
-        )
-        handle = export_fleet(system)
-        try:
-            rebuilt = attach_fleet(handle)
-            assert rebuilt.is_mixed
-            assert rebuilt.device_map == system.device_map
-            assert np.array_equal(
-                rebuilt.modules.variation.leak, system.modules.variation.leak
-            )
-            app = get_app("dgemm")
-            base = run_uncapped(system, app, n_iters=5)
-            budget = 0.8 * base.total_power_w
-            a = run_budgeted(system, app, "vapcor", budget, n_iters=5, noisy=False)
-            b = run_budgeted(rebuilt, app, "vapcor", budget, n_iters=5, noisy=False)
-            assert np.array_equal(a.effective_freq_ghz, b.effective_freq_ghz)
-            assert np.array_equal(a.cpu_power_w, b.cpu_power_w)
-            assert np.array_equal(a.trace.total_s, b.trace.total_s)
-        finally:
-            from repro.exec import shared as shared_mod
-
-            entry = shared_mod._ATTACHED.pop(handle.shm_name, None)
-            if entry is not None:
-                del entry
-            destroy_fleet(handle)
-
-    def test_uniform_fleet_layout_unchanged(self):
-        # A homogeneous system (no device map) exports exactly the four
-        # float64 segments — the pre-refactor block layout.
-        from repro.cluster.configs import build_system
-
-        system = build_system("ha8k", n_modules=8, seed=3)
-        handle = export_fleet(system)
-        try:
-            assert handle.device_types is None
-            from repro.util.shm import attach_block
-
-            shm = attach_block(handle.shm_name)
-            assert shm.size >= 4 * 8 * np.dtype(np.float64).itemsize
-            shm.close()
-        finally:
-            destroy_fleet(handle)

@@ -1,6 +1,6 @@
 """Shared fixtures for the allocation-service suites.
 
-The ``/dev/shm`` leak check that covers the service's fleet exports is
+The ``/dev/shm`` leak check that proves the service exports nothing is
 suite-wide (``tests/conftest.py``).
 """
 

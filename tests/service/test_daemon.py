@@ -4,9 +4,8 @@ These tests run the full stack — :class:`BackgroundServer` on a worker
 thread, :class:`ServiceClient` over a unix socket — and pin the
 operational contracts of the acceptance criteria: overload produces
 *typed retryable rejects* (never queue collapse), shutdown is a drain
-that destroys every shared-memory block (the conftest leak fixture
-double-checks), and the HTTP adapter maps error codes onto real HTTP
-statuses.
+that closes every hosted fleet and exports nothing to ``/dev/shm``, and
+the HTTP adapter maps error codes onto real HTTP statuses.
 """
 
 import http.client
@@ -56,15 +55,18 @@ class TestRequestReply:
             assert result.n_modules == N
             assert result.allocations[0].feasible
 
-    def test_open_fleet_over_socket_exports_shm(self, server):
+    def test_open_fleet_over_socket_exports_shm(self, server, psm_segments):
+        """An opened fleet exports no shared-memory block: its handle's
+        ``shm_name`` is empty and no ``psm_*`` segment appears."""
+        before = psm_segments()
         with ServiceClient(server.address) as client:
             handle = client.open_fleet(
                 FleetSpec(system="ha8k", n_modules=N, seed=3, fleet_id="w")
             )
-            assert handle.shm_name.startswith("psm_")
-            assert os.path.exists(f"/dev/shm/{handle.shm_name}")
+            assert handle.shm_name == ""
+            assert psm_segments() == before
             client.close_fleet(handle)
-            assert not os.path.exists(f"/dev/shm/{handle.shm_name}")
+        assert psm_segments() == before
 
     def test_wire_error_is_typed(self, server):
         with ServiceClient(server.address) as client:
@@ -174,18 +176,20 @@ class TestBackpressure:
 
 
 class TestDrain:
-    def test_drain_destroys_fleets_and_socket(self):
+    def test_drain_destroys_fleets_and_socket(self, psm_segments):
+        before = psm_segments()
         server = BackgroundServer()
         server.start()
         addr = server.address
         handle = server.service.open_fleet(
             FleetSpec(system="ha8k", n_modules=N, seed=3, fleet_id="d0")
         )
-        assert os.path.exists(f"/dev/shm/{handle.shm_name}")
+        assert handle.shm_name == ""
         with ServiceClient(addr) as client:
             assert client.drain().message == "draining"
         server.drain()
-        assert not os.path.exists(f"/dev/shm/{handle.shm_name}")
+        assert server.service.n_fleets == 0
+        assert psm_segments() == before
         assert not os.path.exists(addr)
         # A fresh connection can only fail typed-and-retryable.
         with pytest.raises(ServiceError) as exc:

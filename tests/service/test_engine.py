@@ -24,7 +24,7 @@ from repro.cluster.configs import build_system
 from repro.core.budget import solve_alpha_batched
 from repro.core.pvt import generate_pvt
 from repro.core.schemes import available_schemes, get_scheme
-from repro.errors import InfeasibleBudgetError
+from repro.errors import ConfigurationError, InfeasibleBudgetError
 from repro.exec import ExperimentEngine, RunKey
 from repro.service.api import (
     AllocationRequest,
@@ -43,7 +43,7 @@ SEED = 11
 
 @pytest.fixture()
 def service():
-    svc = AllocationService(export_shm=False)
+    svc = AllocationService()
     yield svc
     svc.close_all()
 
@@ -90,6 +90,12 @@ class TestFleetLifecycle:
         with pytest.raises(ServiceError) as exc:
             service.open_fleet(FleetSpec(system="nonesuch", n_modules=8))
         assert exc.value.code == "bad-request"
+
+    def test_shared_memory_export_is_gone(self):
+        """``export_shm`` survives as a keyword with one legal value."""
+        with pytest.raises(ConfigurationError):
+            AllocationService(export_shm=True)
+        AllocationService(export_shm=False).close_all()
 
 
 class TestAllocateParity:

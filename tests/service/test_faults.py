@@ -1,11 +1,12 @@
 """Fault injection: a pool worker dying mid-request must surface as a
-typed, retryable error — never a hang, never a leaked shm block.
+typed, retryable error — never a hang.
 
 ``REPRO_ENGINE_FAULT=kill`` makes every engine pool worker SIGKILL
-itself at task start.  The hook only fires in actual pool children, so the pool
-must engage: that needs ``jobs > 1`` *and* at least two batch groups —
-two apps give two group signatures.  The conftest leak fixture asserts
-the engine's cleanup still ran despite the crash.
+itself at task start.  The engine reads the variable when it starts a
+pool, so setting it after an earlier pool (and its forkserver) started
+still takes effect.  The hook only fires in actual pool children, so
+the pool must engage: that needs ``jobs > 1`` *and* at least two batch
+groups — two apps give two group signatures.
 """
 
 import pytest
@@ -30,7 +31,7 @@ SWEEP = dict(
 
 def test_worker_crash_is_typed_retryable(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE_FAULT", "kill")
-    service = AllocationService(jobs=2, export_shm=False)
+    service = AllocationService(jobs=2)
     try:
         service.open_fleet(
             FleetSpec(system="ha8k", n_modules=N, seed=5, fleet_id="f0")
@@ -64,7 +65,7 @@ def test_client_sees_crash_not_hang(monkeypatch):
 def test_recovery_after_fault_cleared(monkeypatch):
     """The same request succeeds once the fault stops firing — proving
     `retryable` meant what it said."""
-    service = AllocationService(jobs=2, export_shm=False)
+    service = AllocationService(jobs=2)
     try:
         service.open_fleet(
             FleetSpec(system="ha8k", n_modules=N, seed=5, fleet_id="f0")

@@ -403,6 +403,8 @@ def _format_batch_counters() -> str:
         ("engine.exec", "uncached executions"),
         ("run.budgeted_batched", "batched runner passes"),
         ("budget.solve_alpha_batched", "batched alpha-solves"),
+        ("sim.detect_tiles", "steady-state detector tiles"),
+        ("sim.detect_close_tiles", "detector tiles close-tested"),
     ):
         counter = m.counters.get(cname)
         if counter is not None and counter.value:

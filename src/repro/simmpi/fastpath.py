@@ -97,7 +97,7 @@ __all__ = [
 BSP_COMM_KINDS = ("none", "neighbor", "allreduce")
 
 #: Only fast-forward a loop when at least this many iterations remain —
-#: below that, plain iteration is cheaper than the delta bookkeeping.
+#: below that, plain iteration is cheaper than the detector's bookkeeping.
 _MIN_FF_REMAINING = 3
 
 #: Consecutive identical per-iteration increments required before the
@@ -105,6 +105,10 @@ _MIN_FF_REMAINING = 3
 #: already sufficient mathematically (see :func:`_exec_loop_sharded`); the
 #: second is a guard against accumulated rounding noise.
 _FF_STABLE_ITERS = 2
+
+#: Column stride of the detector's uniformity probe: every 64th rank of
+#: a tile is tested before the whole tile (see :func:`_detect_pass`).
+_UNIFORM_PROBE_STRIDE = 64
 
 
 @dataclass(frozen=True)
@@ -259,9 +263,9 @@ def run_fast(
 # configs, each cut into column tiles.  Each superstep is organised
 # into 2-3 fused *tile passes* — per tile: [finish previous sync;
 # snapshot; advance locals; partial row-max], [halo gathers], and
-# [finish sync; delta; detector verdicts] — so each tile's ~20 arrays
-# are touched many times while cache-hot and, on a plane larger than
-# the cache, streamed from DRAM only once per pass.  Per-segment local
+# [finish sync; detector verdicts] — so each tile's ~20 arrays are
+# touched many times while cache-hot and, on a plane larger than the
+# cache, streamed from DRAM only once per pass.  Per-segment local
 # dt is computed once per loop entry (it is loop-invariant) instead of
 # once per iteration.  A plane under the working-set budget, and every
 # ``shard=None`` run, is a one-tile plan: the same passes over the
@@ -332,12 +336,13 @@ class _ShardedExec:
     plane, the per-tile partial buffers, and the (shared) thread pool.
     Per-tile scratch makes every tile pass race-free: concurrent visits
     write only their own column range and their own scratch.  ``busy_s``
-    accumulates per-tile busy seconds across the whole run (shared
-    through :meth:`shrink` so retirement does not reset the telemetry).
+    accumulates per-tile busy seconds across the whole run and
+    ``tables`` the run's validated neighbour tables (both shared
+    through :meth:`shrink`, so retirement resets neither).
     """
 
     __slots__ = (
-        "machine", "bounds", "pool", "busy_s",
+        "machine", "bounds", "pool", "busy_s", "tables",
         "ready", "partials", "wait_scr", "diff_scr", "tol_scr", "gather_scr",
     )
 
@@ -347,11 +352,13 @@ class _ShardedExec:
         bounds: tuple[tuple[int, int], ...],
         pool: ThreadPoolExecutor | None,
         busy_s: list[float],
+        tables: dict[VSendrecv, np.ndarray],
     ):
         self.machine = machine
         self.bounds = bounds
         self.pool = pool
         self.busy_s = busy_s
+        self.tables = tables
         c = machine.n_configs
         self.ready = np.empty(machine.rates.shape)
         self.partials = np.empty((c, len(bounds)))
@@ -364,8 +371,20 @@ class _ShardedExec:
     def shrink(self, keep: np.ndarray) -> "_ShardedExec":
         """A new exec over the kept config rows, same column tiling."""
         return _ShardedExec(
-            self.machine.extract_rows(keep), self.bounds, self.pool, self.busy_s
+            self.machine.extract_rows(keep), self.bounds, self.pool,
+            self.busy_s, self.tables,
         )
+
+    def table(self, op: VSendrecv) -> np.ndarray:
+        """``op``'s neighbour table, validated on its first exchange of
+        the run.  The gathers take with ``mode="clip"``, which is exact
+        only for in-range indices, so a table is never used unchecked;
+        checking it once per run instead of once per superstep still
+        catches a table mutated after :class:`BspProgram` construction."""
+        nb = self.tables.get(op)
+        if nb is None:
+            nb = self.tables[op] = self.machine.check_neighbors(op.neighbors)
+        return nb
 
     def gather_pair(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """Tile *t*'s halo-gather scratch, allocated on first exchange."""
@@ -472,7 +491,7 @@ def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
     clock is written until the pass completes.
     """
     m = ex.machine
-    nb = m.check_neighbors(op.neighbors)
+    nb = ex.table(op)
 
     def visit(t: int, a: int, b: int) -> None:
         m.gather_ready_cols(a, b, nb, ex.ready[:, a:b], ex.gather_pair(t))
@@ -485,14 +504,15 @@ def _ref_delta(
     ex: _ShardedExec,
     pend: tuple | None,
     tail_dt: list[np.ndarray] | None,
-    before: tuple,
+    snap: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The detector's reference column — column 0's clock delta for this
     iteration, computed ahead of the closing pass so worker tiles never
-    read another tile's in-flight delta.  Replays the exact IEEE-754 ops
-    the closing pass performs on column 0 (``ready + cost``, ``+ dt``,
-    ``- before``), so the result is bitwise equal to ``delta[0][:, :1]``.
-    Returns ``(ref, tolerance)`` for the uniformity test.
+    read another tile's in-flight clocks.  Replays the exact IEEE-754
+    ops the closing pass performs on column 0 (``ready + cost``,
+    ``+ dt``, ``- snap``), so the result is bitwise equal to the clock
+    delta the closing pass computes there.  Returns ``(ref, tolerance)``
+    for the uniformity test.
     """
     if pend is not None:
         _op, ready, cost = pend
@@ -501,34 +521,42 @@ def _ref_delta(
         post = ex.machine.clock_s[:, 0].copy()
     if tail_dt is not None:
         post = post + tail_dt[0][:, 0]
-    ref = (post - before[0][:, 0])[:, None]
+    ref = (post - snap[0][:, 0])[:, None]
     rtol = 1e-12 * np.abs(ref)
     rtol += 1e-15
     return ref, rtol
 
 
-def _closing_pass(
+def _detect_pass(
     ex: _ShardedExec,
     pend: tuple | None,
     tail_dt: list[np.ndarray] | None,
-    before: tuple,
-    delta: tuple,
-    prev: tuple,
-    ref: np.ndarray | None,
-    rtol: np.ndarray | None,
-    ok_parts: np.ndarray,
-    uni_parts: np.ndarray,
+    snap: tuple,
+    older: tuple,
+    ref: np.ndarray,
+    rtol: np.ndarray,
+    parts: np.ndarray,
+    closed: np.ndarray,
 ) -> None:
-    """End-of-iteration pass: finish the superstep (pending sync +
-    trailing locals), write the per-tile delta, and — when ``ref`` is
-    given — evaluate the steady-state detector's per-tile verdicts.
+    """End-of-iteration pass with the steady-state detector: finish the
+    superstep (pending sync + trailing locals), then write each tile's
+    per-row verdicts into ``parts[:, t]``.
 
-    A row is *close* where its four increments all match the previous
-    iteration's, and *uniform* where every rank's clock increment
-    matches the reference column's.  Both use ``np.isclose``'s
-    finite-operand predicate ``|d - p| <= 1e-15 + 1e-12 * |p|``
-    evaluated into per-tile scratch (sim deltas are always finite); a
-    row's full-width ``.all`` is the AND of its tile ``.all``\\ s."""
+    A row's verdict is *uniform* — every rank's clock increment since
+    ``snap`` matches the reference column's — AND *close* — its four
+    increments all match the previous iteration's, ``snap - older``.
+    Both use ``np.isclose``'s finite-operand predicate
+    ``|d - p| <= 1e-15 + 1e-12 * |p|`` evaluated into per-tile scratch
+    (sim deltas are always finite), and a row's full-width ``.all`` is
+    the AND of its tile ``.all``\\ s.  Uniformity is tested first, on
+    a strided probe of the tile and then on the whole tile: a tile
+    where no row is uniform has an all-False verdict whatever the close
+    test would say, so it skips that test (``closed[t]`` records which
+    tiles ran it).  The probe runs the same per-element ops as the full
+    test, so it only ever rejects a tile the full test would reject.
+    The increments are recomputed from the snapshots instead of stored
+    — ``snap`` is bitwise the state the previous iteration ended in, so
+    ``snap - older`` is that iteration's increment, bit for bit."""
     m = ex.machine
 
     def visit(t: int, a: int, b: int) -> None:
@@ -536,25 +564,35 @@ def _closing_pass(
             ex.apply_sync(pend, t, a, b)
         if tail_dt is not None:
             m.advance_cols(a, b, tail_dt[t])
-        m.delta_cols(a, b, before, delta)
-        if ref is None:
+        # One sampled rank per row off the reference increment already
+        # makes the tile's verdicts all False.
+        probe = slice(a, b, _UNIFORM_PROBE_STRIDE)
+        d = m.clock_s[:, probe] - snap[0][:, probe]
+        d -= ref
+        if not (np.abs(d) <= rtol).all(axis=1).any():
+            parts[:, t] = closed[t] = False
             return
         diff, tol = ex.diff_scr[t], ex.tol_scr[t]
-        ok = None
-        for d, p in zip(delta, prev):
-            np.subtract(d[:, a:b], p[:, a:b], out=diff)
-            np.abs(diff, out=diff)
-            np.abs(p[:, a:b], out=tol)
-            tol *= 1e-12
-            tol += 1e-15
-            good = (diff <= tol).all(axis=1)
-            ok = good if ok is None else ok & good
-        ok_parts[:, t] = ok
-        np.subtract(delta[0][:, a:b], ref, out=diff)
+        np.subtract(m.clock_s[:, a:b], snap[0][:, a:b], out=diff)
+        diff -= ref
         np.abs(diff, out=diff)
-        uni_parts[:, t] = (diff <= rtol).all(axis=1)
+        verdict = (diff <= rtol).all(axis=1)
+        closed[t] = uniform = bool(verdict.any())
+        if uniform:
+            for arr, s, o in zip(m.accumulators, snap, older):
+                np.subtract(arr[:, a:b], s[:, a:b], out=diff)
+                np.subtract(s[:, a:b], o[:, a:b], out=tol)
+                diff -= tol
+                np.abs(diff, out=diff)
+                np.abs(tol, out=tol)
+                tol *= 1e-12
+                tol += 1e-15
+                verdict &= (diff <= tol).all(axis=1)
+        parts[:, t] = verdict
 
     ex.foreach(visit)
+    telemetry.count("sim.detect_tiles", len(ex.bounds))
+    telemetry.count("sim.detect_close_tiles", int(closed.sum()))
 
 
 def _record_fast_forward(n_rows: int, remaining: int) -> None:
@@ -592,9 +630,9 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     batch it runs in: a config must be fast-forwarded at exactly the
     iteration it would be alone, because ``c + k·d`` and
     ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
-    ``(prev, stable)`` detector state therefore survives the active-set
-    shrink — retired configs leave the batch, the rest carry their
-    streak across the extraction.  Every machine op is row-independent,
+    ``(snapshot, stable)`` detector state therefore survives the
+    active-set shrink — retired configs leave the batch, the rest carry
+    their snapshot rows and their streak across the extraction.  Every machine op is row-independent,
     so executing the surviving subset alone reproduces exactly what the
     full batch would have computed for those rows.  The detector's
     verdicts are per-tile ``.all`` reductions AND-ed across tiles, so
@@ -616,52 +654,45 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     shape = parent.rates.shape
     seg_dt = [_dt_tiles(ex, locs) for locs, _ in segs]
     tail_dt = _dt_tiles(ex, tail_ops)
-    before = tuple(np.empty(shape) for _ in range(4))
-    delta = tuple(np.empty(shape) for _ in range(4))
-    prev = tuple(np.empty(shape) for _ in range(4))
-    ok_parts = np.empty((shape[0], n_tiles), dtype=bool)
-    uni_parts = np.empty((shape[0], n_tiles), dtype=bool)
+    # Two snapshot generations: ``snap`` is taken at the start of this
+    # iteration, ``older`` at the start of the previous one.
+    snap = tuple(np.empty(shape) for _ in range(4))
+    older = tuple(np.empty(shape) for _ in range(4))
+    parts = np.empty((shape[0], n_tiles), dtype=bool)
+    closed = np.empty(n_tiles, dtype=bool)
     have_prev = False
     stable = np.zeros(shape[0], dtype=np.int64)
     while remaining > 0:
         # Only an iteration followed by at least _MIN_FF_REMAINING more
-        # runs the detector; the others skip its snapshot and delta.
+        # runs the detector; the others skip its snapshot.
         detect = remaining - 1 >= _MIN_FF_REMAINING
         pend: tuple | None = None
-        snap = before if detect else None
+        if detect:
+            older, snap = snap, older
+        first_snap = snap if detect else None
         for si, (locs, sync) in enumerate(segs):
             dts = seg_dt[si]
             if isinstance(sync, (VBarrier, VAllreduce)):
-                _fused_pass(ex, pend=pend, snap=snap, dt=dts, partial=True)
+                _fused_pass(ex, pend=pend, snap=first_snap, dt=dts, partial=True)
                 pend = _barrier_pend(ex, sync)
             else:
-                if pend is not None or snap is not None or dts is not None:
-                    _fused_pass(ex, pend=pend, snap=snap, dt=dts)
+                if pend is not None or first_snap is not None or dts is not None:
+                    _fused_pass(ex, pend=pend, snap=first_snap, dt=dts)
                 if isinstance(sync, VSendrecv):
                     pend = _sendrecv_phase1(ex, sync)
                 else:  # a sync-bearing nested loop
                     pend = None
                     _exec_loop_sharded(ex, sync)
-            snap = None
+            first_snap = None
         remaining -= 1
-        if not detect:
+        if not (detect and have_prev):
             if pend is not None or tail_dt is not None:
                 _fused_pass(ex, pend=pend, dt=tail_dt)
+            have_prev = detect
             continue
-        if have_prev:
-            ref, rtol = _ref_delta(ex, pend, tail_dt, before)
-        else:
-            ref = rtol = None
-        _closing_pass(
-            ex, pend, tail_dt, before, delta, prev, ref, rtol,
-            ok_parts, uni_parts,
-        )
-        if have_prev:
-            ok = ok_parts.all(axis=1)
-            ok &= uni_parts.all(axis=1)
-            stable = np.where(ok, stable + 1, 0)
-        else:
-            stable[:] = 0
+        ref, rtol = _ref_delta(ex, pend, tail_dt, snap)
+        _detect_pass(ex, pend, tail_dt, snap, older, ref, rtol, parts, closed)
+        stable = np.where(parts.all(axis=1), stable + 1, 0)
         retire = stable >= _FF_STABLE_ITERS
         if np.any(retire):
             m = ex.machine
@@ -670,7 +701,7 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
 
             def ff_visit(t: int, a: int, b: int) -> None:
                 m.fast_forward_rows_cols(
-                    a, b, retire, delta, repeats, ex.diff_scr[t], whole
+                    a, b, retire, snap, repeats, ex.diff_scr[t], whole
                 )
 
             ex.foreach(ff_visit)
@@ -683,11 +714,11 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
                 return
             ex = ex.shrink(keep)
             shape = ex.machine.rates.shape
-            prev = tuple(d[keep] for d in delta)
-            before = tuple(np.empty(shape) for _ in range(4))
-            delta = tuple(np.empty(shape) for _ in range(4))
-            ok_parts = np.empty((shape[0], n_tiles), dtype=bool)
-            uni_parts = np.empty((shape[0], n_tiles), dtype=bool)
+            # The next iteration rotates these: ``older`` becomes this
+            # iteration's snapshot of the kept rows.
+            snap = tuple(s[keep] for s in snap)
+            older = tuple(np.empty(shape) for _ in range(4))
+            parts = np.empty((shape[0], n_tiles), dtype=bool)
             stable = stable[keep]
             seg_dt = [
                 None if c is None else [dt[keep] for dt in c] for c in seg_dt
@@ -695,10 +726,6 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
             tail_dt = (
                 None if tail_dt is None else [dt[keep] for dt in tail_dt]
             )
-            have_prev = True
-        else:
-            prev, delta = delta, prev
-            have_prev = True
     if ex.machine is not parent:
         parent.write_rows(rows, ex.machine)
 
@@ -781,6 +808,7 @@ def run_fast_sharded(
         )
     tiles = plan.col_tiles()
     busy = [0.0] * len(tiles)
+    tables: dict[VSendrecv, np.ndarray] = {}
     pool: ThreadPoolExecutor | None = None
     traces: list[RankTrace] = []
     t0 = perf_counter()
@@ -805,7 +833,8 @@ def run_fast_sharded(
                 if r.shape[0] == 1 and plan.n_col_shards == 1:
                     machine.observer = telemetry.timeline("fastpath")
                 _exec_ops_sharded(
-                    _ShardedExec(machine, tiles, pool, busy), program.ops
+                    _ShardedExec(machine, tiles, pool, busy, tables),
+                    program.ops,
                 )
                 traces.extend(machine.traces())
         finally:

@@ -105,6 +105,12 @@ class BatchedBspMachine:
         """Number of ranks per configuration (columns)."""
         return int(self.rates.shape[1])
 
+    @property
+    def accumulators(self) -> tuple[np.ndarray, ...]:
+        """The four per-rank state arrays, in snapshot order: clock,
+        compute, wait and comm seconds (live views, not copies)."""
+        return (self.clock_s, self._compute_s, self._wait_s, self._comm_s)
+
     @classmethod
     def _from_state(
         cls,
@@ -225,7 +231,8 @@ class BatchedBspMachine:
 
     def check_neighbors(self, neighbors: np.ndarray) -> np.ndarray:
         """``neighbors`` as an array, validated as an ``(n_ranks, k)``
-        table of in-range rank indices."""
+        table of in-range rank indices — the precondition of
+        :meth:`gather_ready_cols`."""
         nb = np.asarray(neighbors)
         if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
             raise SimulationError(
@@ -280,11 +287,16 @@ class BatchedBspMachine:
         tile-shaped scratch instead of one ``(C, R, k)`` fancy-indexed
         temporary: max is exact and selects an operand, so the
         accumulation order cannot change the result.
+
+        ``nb`` must have passed :meth:`check_neighbors`: the takes run in
+        ``"clip"`` mode, which skips the bounds check and the output
+        buffering of numpy's default ``"raise"`` mode, and gives the same
+        values only because every index is in range.
         """
         g, h = scratch
-        np.take(self.clock_s, nb[a:b, 0], axis=1, out=g)
+        np.take(self.clock_s, nb[a:b, 0], axis=1, out=g, mode="clip")
         for j in range(1, nb.shape[1]):
-            np.take(self.clock_s, nb[a:b, j], axis=1, out=h)
+            np.take(self.clock_s, nb[a:b, j], axis=1, out=h, mode="clip")
             np.maximum(g, h, out=g)
         np.maximum(self.clock_s[:, a:b], g, out=out)
 
@@ -317,54 +329,39 @@ class BatchedBspMachine:
     def snapshot_cols(
         self, a: int, b: int, out: tuple[np.ndarray, ...]
     ) -> None:
-        """Copy the four accumulators' columns ``[a, b)`` into
+        """Copy the four :attr:`accumulators`' columns ``[a, b)`` into
         machine-shaped buffers (the loop detector's snapshot)."""
-        np.copyto(out[0][:, a:b], self.clock_s[:, a:b])
-        np.copyto(out[1][:, a:b], self._compute_s[:, a:b])
-        np.copyto(out[2][:, a:b], self._wait_s[:, a:b])
-        np.copyto(out[3][:, a:b], self._comm_s[:, a:b])
-
-    def delta_cols(
-        self,
-        a: int,
-        b: int,
-        earlier: tuple[np.ndarray, ...],
-        out: tuple[np.ndarray, ...],
-    ) -> None:
-        """Per-element increments since the ``earlier`` snapshot, on
-        columns ``[a, b)``."""
-        np.subtract(self.clock_s[:, a:b], earlier[0][:, a:b], out=out[0][:, a:b])
-        np.subtract(
-            self._compute_s[:, a:b], earlier[1][:, a:b], out=out[1][:, a:b]
-        )
-        np.subtract(self._wait_s[:, a:b], earlier[2][:, a:b], out=out[2][:, a:b])
-        np.subtract(self._comm_s[:, a:b], earlier[3][:, a:b], out=out[3][:, a:b])
+        for arr, o in zip(self.accumulators, out):
+            np.copyto(o[:, a:b], arr[:, a:b])
 
     def fast_forward_rows_cols(
         self,
         a: int,
         b: int,
         rows: np.ndarray,
-        delta: tuple[np.ndarray, ...],
+        since: tuple[np.ndarray, ...],
         repeats: int,
         scratch: np.ndarray,
         whole: bool,
     ) -> None:
-        """Apply ``repeats`` per-iteration increments to the selected
-        ``rows`` on columns ``[a, b)`` — per element one
-        ``a + repeats * d`` multiply-add.  ``delta`` arrays are
-        machine-shaped; ``whole`` precomputes ``rows.all()`` once for all
-        tiles (the whole batch retiring skips the masked copies);
-        ``scratch`` is a tile-shaped multiply buffer."""
+        """Repeat the selected ``rows``' latest increment ``repeats``
+        more times on columns ``[a, b)``.
+
+        The increment is each accumulator's change since the ``since``
+        snapshot (machine-shaped buffers from :meth:`snapshot_cols`),
+        computed into the tile-shaped ``scratch``; per element this is
+        one ``a + repeats * d`` multiply-add.  ``whole`` precomputes
+        ``rows.all()`` once for all tiles (the whole batch retiring
+        skips the masked update)."""
         if repeats <= 0:
             return
-        arrays = (self.clock_s, self._compute_s, self._wait_s, self._comm_s)
-        if whole:
-            for arr, d in zip(arrays, delta):
-                arr[:, a:b] += np.multiply(d[:, a:b], repeats, out=scratch)
-            return
-        for arr, d in zip(arrays, delta):
-            arr[rows, a:b] += repeats * d[rows, a:b]
+        for arr, s in zip(self.accumulators, since):
+            d = np.subtract(arr[:, a:b], s[:, a:b], out=scratch)
+            d *= repeats
+            if whole:
+                arr[:, a:b] += d
+            else:
+                arr[rows, a:b] += d[rows]
 
     # -- results ---------------------------------------------------------------
 

@@ -1,13 +1,14 @@
 """Shard planning for the 2-D ``(n_configs, n_ranks)`` fast path.
 
 The fast path streams ~20 fleet-sized float64 arrays per superstep
-(clocks, the four accumulators, snapshot/delta/prev quads, sync
-scratch, detector scratch).  Once the per-superstep working set
-outgrows the CPU caches, every numpy op becomes a DRAM-bandwidth-bound
-pass and throughput falls off a cliff — the 50k→100k-module drop in
-``BENCH_fleet.json``.  The fix is tiling: split the plane into blocks
-whose working set fits a cache-sized budget and make few fused passes
-per superstep instead of one full-plane pass per op.
+(the four accumulators, rates, two snapshot quads, the gathered ready
+plane, cached local time, sync, gather and detector scratch).  Once
+the per-superstep working set outgrows the CPU caches, every numpy op
+becomes a DRAM-bandwidth-bound pass and throughput falls off a cliff —
+the 50k→100k-module drop in ``BENCH_fleet.json``.  The fix is
+tiling: split the plane into blocks whose working set fits a
+cache-sized budget and make few fused passes per superstep instead of
+one full-plane pass per op.
 
 This module is the pure planning half: geometry and sizing only, no
 execution.  :func:`plan_shards` turns a plane shape plus optional user
@@ -41,9 +42,13 @@ __all__ = [
     "plan_shards",
 ]
 
-#: Per-plane-element working-set footprint of one sharded superstep:
-#: ~22 live float64 arrays (machine state ×4, rates, snapshot/delta/prev
-#: quads ×12, ready, cached dt, detector + sync scratch ×3).
+#: Per-plane-element working-set footprint of one sharded superstep, in
+#: bytes.  The live float64 arrays are 20: machine state ×4, rates, two
+#: snapshot quads ×8 (this iteration's and the previous one's), the
+#: gathered ready plane, cached dt, and tile scratch ×5 (sync wait,
+#: detector diff and tolerance, two halo-gather buffers) — 160 bytes.
+#: The value stays at 176 so tile widths, and the plans built from
+#: them, do not change.
 BYTES_PER_ELEMENT = 176
 
 #: Default per-tile working-set budget.  Sized to sit inside a shared

@@ -24,7 +24,7 @@ from repro.apps import get_app
 from repro.cluster.configs import build_system
 from repro.core.pmt import oracle_pmt
 from repro.core.pvt import generate_pvt
-from repro.exec import ExperimentEngine, RunKey
+from repro.exec import ExperimentEngine, RunKey, ShardSpec
 from repro.experiments.common import DEFAULT_SEED
 from repro.experiments.fleet import run_fleet_point
 
@@ -214,45 +214,65 @@ def test_pvt_pmt_build_throughput_recorded(benchmark):
 
 # -- telemetry overhead gate (telemetry subsystem acceptance) ------------------
 
-#: Fleet size for the overhead measurement: big enough that the fast
-#: path dominates, small enough to repeat.
-OVERHEAD_MODULES = 50_000
-OVERHEAD_REPEATS = 4
+#: Fleet size and pair count of the overhead measurement.  One run is
+#: ~0.07 s, and a shared host moves single runs by tens of percent, so
+#: the gate takes the median of many interleaved off/on pair ratios:
+#: bursts of noise hit a minority of pairs, which the median ignores.
+#: On a 2-vCPU host its spread over ten repeats was 2.4 points, against
+#: 17.7 for the earlier min-of-4 walls at 50k modules.
+OVERHEAD_MODULES = 20_000
+OVERHEAD_PAIRS = 41
 MAX_TELEMETRY_OVERHEAD_FRAC = 0.05
 
 
 def test_telemetry_overhead_under_5pct(benchmark):
     """The telemetry acceptance gate: enabling spans + metrics + phase
-    timelines must cost <5 % of fleet fast-path throughput.  Min-of-N
-    walls on alternating off/on runs cancel machine noise; the ratio is
-    appended to ``BENCH_fleet.json`` so creep shows up as a trend."""
+    timelines must cost <5 % of fleet fast-path throughput.  Off/on runs
+    alternate in pairs (the order flips every pair), and the gate reads
+    the median on/off wall ratio.  The runs use one shard worker, since
+    telemetry is recorded from the calling thread and thread scheduling
+    only adds noise.  The ratio is appended to ``BENCH_fleet.json`` so
+    creep shows up as a trend."""
+    import gc
+    import statistics
+
     import repro.telemetry as telemetry
 
-    walls: dict[bool, list[float]] = {False: [], True: []}
+    shard = ShardSpec(shard_workers=1)
+
+    def wall(enabled: bool) -> float:
+        gc.collect()
+        if enabled:
+            telemetry.enable()  # fresh collector per run
+        t0 = perf_counter()
+        run_fleet_point(OVERHEAD_MODULES, shard=shard)
+        elapsed = perf_counter() - t0
+        telemetry.disable()
+        return elapsed
+
     telemetry.disable()
-    run_fleet_point(OVERHEAD_MODULES)  # warm module caches outside timers
-    for _ in range(OVERHEAD_REPEATS):
-        for enabled in (False, True):
-            if enabled:
-                telemetry.enable()  # fresh collector per repeat
-            t0 = perf_counter()
-            run_fleet_point(OVERHEAD_MODULES)
-            walls[enabled].append(perf_counter() - t0)
-            telemetry.disable()
+    run_fleet_point(OVERHEAD_MODULES, shard=shard)  # warm caches untimed
+    ratios, walls_off, walls_on = [], [], []
+    for i in range(OVERHEAD_PAIRS):
+        order = (False, True) if i % 2 == 0 else (True, False)
+        w = {enabled: wall(enabled) for enabled in order}
+        walls_off.append(w[False])
+        walls_on.append(w[True])
+        ratios.append(w[True] / w[False])
 
     # One representative run under the benchmark timer, telemetry on.
     telemetry.enable()
-    run_once(benchmark, run_fleet_point, OVERHEAD_MODULES)
+    run_once(benchmark, run_fleet_point, OVERHEAD_MODULES, shard=shard)
     collector = telemetry.disable()
     assert collector.n_spans > 0  # the gate measured instrumented code
 
-    off_s = min(walls[False])
-    on_s = min(walls[True])
-    overhead = on_s / off_s - 1.0
+    off_s = statistics.median(walls_off)
+    on_s = statistics.median(walls_on)
+    overhead = statistics.median(ratios) - 1.0
     assert overhead < MAX_TELEMETRY_OVERHEAD_FRAC, (
         f"telemetry costs {overhead:+.1%} of fleet fast-path wall time "
-        f"({on_s:.2f} s on vs {off_s:.2f} s off; "
-        f"gate {MAX_TELEMETRY_OVERHEAD_FRAC:.0%})"
+        f"(median of {OVERHEAD_PAIRS} pair ratios; medians {on_s:.3f} s on "
+        f"vs {off_s:.3f} s off; gate {MAX_TELEMETRY_OVERHEAD_FRAC:.0%})"
     )
 
     _append_record(
@@ -260,7 +280,7 @@ def test_telemetry_overhead_under_5pct(benchmark):
             "kind": "telemetry_overhead",
             "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "n_modules": OVERHEAD_MODULES,
-            "repeats": OVERHEAD_REPEATS,
+            "pairs": OVERHEAD_PAIRS,
             "wall_off_s": round(off_s, 3),
             "wall_on_s": round(on_s, 3),
             "overhead_frac": round(overhead, 4),
@@ -268,8 +288,8 @@ def test_telemetry_overhead_under_5pct(benchmark):
     )
     print(
         f"\ntelemetry overhead @ {OVERHEAD_MODULES // 1000}k modules: "
-        f"{overhead:+.2%} (on {on_s:.2f} s / off {off_s:.2f} s, "
-        f"min of {OVERHEAD_REPEATS}) -> {BENCH_FILE.name}"
+        f"{overhead:+.2%} (median of {OVERHEAD_PAIRS} pair ratios; "
+        f"on {on_s:.3f} s / off {off_s:.3f} s) -> {BENCH_FILE.name}"
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.simmpi.topology import grid_dims, torus_neighbors
+from repro.simmpi.topology import Torus, grid_dims, torus_neighbors
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.module import ModuleArray
 from repro.hardware.power_model import PowerSignature
@@ -65,6 +65,13 @@ class CommSpec:
             raise ConfigurationError("neighbor communication needs ndim >= 1")
         if self.message_bytes < 0:
             raise ConfigurationError("message_bytes must be non-negative")
+
+    def torus(self, n_ranks: int) -> Torus | None:
+        """The halo-exchange torus over ``n_ranks`` (``None`` unless the
+        kind is ``"neighbor"``): ``ndim`` near-equal extents."""
+        if self.kind != "neighbor":
+            return None
+        return Torus(grid_dims(n_ranks, self.ndim))
 
 
 @dataclass(frozen=True)
@@ -163,9 +170,8 @@ class AppModel:
 
     def neighbor_table(self, n_ranks: int) -> np.ndarray | None:
         """Halo-exchange partners for ``n_ranks`` (None for non-neighbor apps)."""
-        if self.comm.kind != "neighbor":
-            return None
-        return torus_neighbors(grid_dims(n_ranks, self.comm.ndim))
+        torus = self.comm.torus(n_ranks)
+        return None if torus is None else torus_neighbors(torus.shape)
 
     def run(
         self,
@@ -262,7 +268,7 @@ class AppModel:
         cpu_work, fixed = fastpath._app_work(
             self, n_ranks, fmax_ghz, work_imbalance
         )
-        neighbors = self.neighbor_table(n_ranks)
+        torus = self.comm.torus(n_ranks)
         for _ in range(iters):
             if rate_jitter_frac > 0.0:
                 jitter = np.exp(
@@ -277,7 +283,7 @@ class AppModel:
             if self.cpu_bound_fraction < 1.0:
                 machine.advance_local(fixed)
             if self.comm.kind == "neighbor":
-                machine.sendrecv(neighbors, self.comm.message_bytes)
+                machine.sendrecv(torus, self.comm.message_bytes)
             elif self.comm.kind == "allreduce":
                 machine.allreduce(max(self.comm.message_bytes, 8.0))
         if self.comm.final_allreduce:

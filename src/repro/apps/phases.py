@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.apps.base import AppModel, CommSpec
-from repro.simmpi.topology import grid_dims, torus_neighbors
 from repro.errors import ConfigurationError, SimulationError
 from repro.hardware.power_model import PowerSignature
 from repro.simmpi.machine import BatchedBspMachine
@@ -168,18 +167,14 @@ class PhasedApp:
                 kappa * phase.seconds_fmax * fmax_ghz / phase_rates,
                 (1.0 - kappa) * phase.seconds_fmax if kappa < 1.0 else None,
             ))
-        neighbors = (
-            torus_neighbors(grid_dims(n_ranks, self.comm.ndim))
-            if self.comm.kind == "neighbor"
-            else None
-        )
+        torus = self.comm.torus(n_ranks)
         for _ in range(iters):
             for compute_dt, fixed_s in steps:
                 machine.advance_local(compute_dt)
                 if fixed_s is not None:
                     machine.advance_local(fixed_s)
             if self.comm.kind == "neighbor":
-                machine.sendrecv(neighbors, self.comm.message_bytes)
+                machine.sendrecv(torus, self.comm.message_bytes)
             elif self.comm.kind == "allreduce":
                 machine.allreduce(max(self.comm.message_bytes, 8.0))
         return machine.traces()[0]

@@ -12,8 +12,10 @@ simulates exactly that:
   act on one tile of ranks; the full-width ``advance_local`` /
   ``barrier`` / ``allreduce`` / ``sendrecv`` are the same operations
   over all ranks.
-* :mod:`repro.simmpi.topology` — the ``(n_ranks, k)`` neighbour tables
-  of halo exchanges (ring, 2-D/3-D torus).
+* :mod:`repro.simmpi.topology` — :class:`Torus`, the periodic rank
+  torus a halo exchange runs on (a ring is the 1-D torus), and the
+  explicit ``(n_ranks, k)`` neighbour tables of the event-driven
+  programs.
 * :mod:`repro.simmpi.tracing` — :class:`RankTrace`, the per-rank timing
   record (total, compute, and MPI wait time, the quantity plotted in
   Fig 3 and Fig 8(ii)).
@@ -52,6 +54,7 @@ from repro.simmpi.fastpath import (
     simulate_app,
 )
 from repro.simmpi.machine import BatchedBspMachine
+from repro.simmpi.topology import Torus
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
@@ -71,6 +74,7 @@ __all__ = [
     "VAllreduce",
     "VSendrecv",
     "VLoop",
+    "Torus",
     "run_fast",
     "run_event",
     "simulate_app",

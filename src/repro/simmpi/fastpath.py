@@ -50,6 +50,7 @@ golden-pin tolerance.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -70,6 +71,7 @@ from repro.simmpi.eventsim import (
 )
 from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.sharding import ShardPlan, ShardSpec, plan_shards
+from repro.simmpi.topology import Torus, torus_neighbors
 from repro.simmpi.tracing import RankTrace
 
 __all__ = [
@@ -138,11 +140,12 @@ class VAllreduce:
     message_bytes: float = 8.0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class VSendrecv:
-    """Halo exchange on an explicit ``(n_ranks, k)`` neighbour table."""
+    """Halo exchange on a periodic rank
+    :class:`~repro.simmpi.topology.Torus`."""
 
-    neighbors: np.ndarray
+    torus: Torus
     message_bytes: float = 0.0
 
 
@@ -214,15 +217,14 @@ class BspProgram:
                         "message_bytes must be finite and non-negative; "
                         f"got {op.message_bytes!r}"
                     )
-                if isinstance(op, VSendrecv):
-                    nb = np.asarray(op.neighbors)
-                    if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
-                        raise ConfigurationError(
-                            "neighbors must have shape (n_ranks, k); "
-                            f"got {nb.shape}"
-                        )
-                    if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
-                        raise ConfigurationError("neighbor indices out of range")
+                if isinstance(op, VSendrecv) and (
+                    not isinstance(op.torus, Torus)
+                    or op.torus.n_ranks != self.n_ranks
+                ):
+                    raise ConfigurationError(
+                        f"sendrecv needs a Torus over {self.n_ranks} ranks; "
+                        f"got {op.torus!r}"
+                    )
             else:
                 raise ConfigurationError(f"unknown fast-path op {op!r}")
 
@@ -306,13 +308,12 @@ def _shard_segments(
 
 
 def _local_dt_tile(
-    ops: Sequence[_VOp], rates: np.ndarray, a: int, b: int
+    ops: Sequence[_VOp], sub: np.ndarray, a: int, b: int
 ) -> np.ndarray:
     """Combined per-rank seconds of a communication-free op sequence on
-    columns ``[a, b)``, for every config row at once — elementwise
-    identical to slicing a full-width result, since every term is
-    per-element."""
-    sub = rates[:, a:b]
+    columns ``[a, b)``, whose rates are ``sub``, for every config row at
+    once — elementwise identical to slicing a full-width result, since
+    every term is per-element."""
     w = b - a
     dt = np.zeros(sub.shape)
     for op in ops:
@@ -323,7 +324,7 @@ def _local_dt_tile(
             pay = np.asarray(op.seconds, dtype=float)
             dt += np.broadcast_to(pay if pay.ndim == 0 else pay[a:b], (w,))
         elif isinstance(op, VLoop):
-            dt += op.iters * _local_dt_tile(op.body, rates, a, b)
+            dt += op.iters * _local_dt_tile(op.body, sub, a, b)
         else:  # pragma: no cover - guarded by _has_sync
             raise SimulationError(f"{op!r} is not a local op")
     return dt
@@ -336,14 +337,14 @@ class _ShardedExec:
     plane, the per-tile partial buffers, and the (shared) thread pool.
     Per-tile scratch makes every tile pass race-free: concurrent visits
     write only their own column range and their own scratch.  ``busy_s``
-    accumulates per-tile busy seconds across the whole run and
-    ``tables`` the run's validated neighbour tables (both shared
-    through :meth:`shrink`, so retirement resets neither).
+    accumulates per-tile busy seconds across the whole run.  Machine
+    row *i* runs at ``rates[rows[i]]`` (``rows=None``: the identity);
+    the caller's ``rates`` are never reordered.
     """
 
     __slots__ = (
-        "machine", "bounds", "pool", "busy_s", "tables",
-        "ready", "partials", "wait_scr", "diff_scr", "tol_scr", "gather_scr",
+        "machine", "rates", "rows", "bounds", "pool", "busy_s",
+        "ready", "partials", "wait_scr", "diff_scr", "tol_scr",
     )
 
     def __init__(
@@ -352,49 +353,30 @@ class _ShardedExec:
         bounds: tuple[tuple[int, int], ...],
         pool: ThreadPoolExecutor | None,
         busy_s: list[float],
-        tables: dict[VSendrecv, np.ndarray],
     ):
         self.machine = machine
+        self.rates = machine.rates
+        self.rows: np.ndarray | None = None
         self.bounds = bounds
         self.pool = pool
         self.busy_s = busy_s
-        self.tables = tables
         c = machine.n_configs
-        self.ready = np.empty(machine.rates.shape)
+        self.ready = np.empty(machine.clock_s.shape)
         self.partials = np.empty((c, len(bounds)))
         self.wait_scr = [np.empty((c, b - a)) for a, b in bounds]
         self.diff_scr = [np.empty((c, b - a)) for a, b in bounds]
         self.tol_scr = [np.empty((c, b - a)) for a, b in bounds]
-        self.gather_scr: list[tuple[np.ndarray, np.ndarray] | None]
-        self.gather_scr = [None] * len(bounds)
 
-    def shrink(self, keep: np.ndarray) -> "_ShardedExec":
-        """A new exec over the kept config rows, same column tiling."""
-        return _ShardedExec(
-            self.machine.extract_rows(keep), self.bounds, self.pool,
-            self.busy_s, self.tables,
-        )
-
-    def table(self, op: VSendrecv) -> np.ndarray:
-        """``op``'s neighbour table, validated on its first exchange of
-        the run.  The gathers take with ``mode="clip"``, which is exact
-        only for in-range indices, so a table is never used unchecked;
-        checking it once per run instead of once per superstep still
-        catches a table mutated after :class:`BspProgram` construction."""
-        nb = self.tables.get(op)
-        if nb is None:
-            nb = self.tables[op] = self.machine.check_neighbors(op.neighbors)
-        return nb
-
-    def gather_pair(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Tile *t*'s halo-gather scratch, allocated on first exchange."""
-        pair = self.gather_scr[t]
-        if pair is None:
-            a, b = self.bounds[t]
-            c = self.machine.n_configs
-            pair = (np.empty((c, b - a)), np.empty((c, b - a)))
-            self.gather_scr[t] = pair
-        return pair
+    def head(self, k: int, rows: np.ndarray) -> "_ShardedExec":
+        """An exec over the machine's first ``k`` rows, whose rates are
+        ``rates[rows]``: views of this exec's machine, ready plane and
+        scratch (no copies), with the same column tiling."""
+        ex = copy.copy(self)
+        ex.machine, ex.rows = self.machine.head(k), rows
+        ex.ready, ex.partials = self.ready[:k], self.partials[:k]
+        for name in ("wait_scr", "diff_scr", "tol_scr"):
+            setattr(ex, name, [s[:k] for s in getattr(self, name)])
+        return ex
 
     def apply_sync(self, pend: tuple, t: int, a: int, b: int) -> None:
         """Apply a pending sync's phase 2 to tile *t* (wait/comm/clock).
@@ -438,7 +420,8 @@ def _dt_tiles(ex: _ShardedExec, ops: tuple) -> list[np.ndarray] | None:
         return None
     tiles = []
     for a, b in ex.bounds:
-        dt = _local_dt_tile(ops, ex.machine.rates, a, b)
+        rows = slice(None) if ex.rows is None else ex.rows
+        dt = _local_dt_tile(ops, ex.rates[rows, a:b], a, b)
         if np.any(dt < 0):
             raise SimulationError("local time must be non-negative")
         tiles.append(dt)
@@ -491,13 +474,12 @@ def _sendrecv_phase1(ex: _ShardedExec, op: VSendrecv) -> tuple:
     clock is written until the pass completes.
     """
     m = ex.machine
-    nb = ex.table(op)
 
     def visit(t: int, a: int, b: int) -> None:
-        m.gather_ready_cols(a, b, nb, ex.ready[:, a:b], ex.gather_pair(t))
+        m.gather_ready_cols(a, b, op.torus, ex.ready[:, a:b])
 
     ex.foreach(visit)
-    return ("sendrecv", ex.ready, m.sendrecv_cost(nb, op.message_bytes))
+    return ("sendrecv", ex.ready, m.sendrecv_cost(op.torus, op.message_bytes))
 
 
 def _ref_delta(
@@ -604,6 +586,73 @@ def _record_fast_forward(n_rows: int, remaining: int) -> None:
         telemetry.observe("sim.ff_saved_iters", remaining)
 
 
+class _LoopState:
+    """A loop's per-row state, which :func:`_retire` compacts: snapshots
+    taken at the start of this iteration (``snap``) and the previous
+    one (``older``), detector verdicts and streaks, and the per-tile
+    local-time caches of each segment (the trailing local run last)."""
+
+    __slots__ = (
+        "snap", "older", "spare", "parts", "closed", "stable", "dts", "order",
+    )
+
+    def __init__(self, ex: _ShardedExec, runs: list[tuple]):
+        shape = ex.machine.clock_s.shape
+        self.snap = tuple(np.empty(shape) for _ in range(4))
+        self.older = tuple(np.empty(shape) for _ in range(4))
+        #: Full height and dead once the loop ends: the scratch that
+        #: restores the entry row order.
+        self.spare = self.snap[0]
+        self.parts = np.empty((shape[0], len(ex.bounds)), dtype=bool)
+        self.closed = np.empty(len(ex.bounds), dtype=bool)
+        self.stable = np.zeros(shape[0], dtype=np.int64)
+        self.dts = [_dt_tiles(ex, ops) for ops in runs]
+        #: The entry row each machine row holds.
+        self.order = np.arange(shape[0])
+
+
+def _retire(
+    ex: _ShardedExec, st: _LoopState, retire: np.ndarray, remaining: int
+) -> _ShardedExec | None:
+    """Fast-forward the ``retire`` rows over the ``remaining`` iterations
+    and drop them from the active set in place; returns the exec over
+    the kept rows, or ``None`` when every row retired.
+
+    A stable partition moves the machine's kept rows to the front and
+    the retired rows, final state and all, behind them.  The snapshots
+    and local-time caches are compacted in ascending row order, and the
+    loop carries on with ``[:k]`` views of them, the machine, the ready
+    plane and the tile scratch.  Every move goes through dead scratch
+    (``older`` until the next rotation, the diff scratch until the next
+    pass), so nothing plane-sized is allocated."""
+    m, snap = ex.machine, st.snap
+
+    def ff_visit(t: int, a: int, b: int) -> None:
+        m.fast_forward_rows_cols(a, b, retire, snap, remaining, ex.diff_scr[t])
+
+    ex.foreach(ff_visit)
+    _record_fast_forward(int(retire.sum()), remaining)
+    if retire.all():
+        return None
+    kept = np.flatnonzero(~retire)
+    k = kept.size
+    src = np.concatenate([kept, np.flatnonzero(retire)])
+    m.reorder_rows(src, st.older[0])
+    st.order[: src.size] = st.order[src]
+    # Indices are in range, so "clip" only skips the output buffering of
+    # the default mode.
+    for s, o in zip(snap, st.older):
+        np.take(s, kept, axis=0, out=o[:k], mode="clip")
+    st.snap, st.older = tuple(o[:k] for o in st.older), tuple(s[:k] for s in snap)
+    for tiles in filter(None, st.dts):
+        for t, dt in enumerate(tiles):
+            np.take(dt, kept, axis=0, out=ex.diff_scr[t][:k], mode="clip")
+            np.copyto(dt[:k], ex.diff_scr[t][:k])
+    st.dts = [None if c is None else [dt[:k] for dt in c] for c in st.dts]
+    st.parts, st.stable = st.parts[:k], st.stable[kept]
+    return ex.head(k, kept if ex.rows is None else ex.rows[kept])
+
+
 def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     """Run a synchronising loop for all configs, fast-forwarding each
     config's steady state *independently*.
@@ -631,47 +680,35 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
     iteration it would be alone, because ``c + k·d`` and
     ``(c + d) + (k−1)·d`` differ in the last ulp.  The per-row
     ``(snapshot, stable)`` detector state therefore survives the
-    active-set shrink — retired configs leave the batch, the rest carry
-    their snapshot rows and their streak across the extraction.  Every machine op is row-independent,
-    so executing the surviving subset alone reproduces exactly what the
-    full batch would have computed for those rows.  The detector's
-    verdicts are per-tile ``.all`` reductions AND-ed across tiles, so
-    they are the same under any column tiling.
+    active-set shrink (:func:`_retire`).  Every machine op is
+    row-independent, so executing the surviving subset alone reproduces
+    exactly what the full batch would have computed for those rows.
+    The detector's verdicts are per-tile ``.all`` reductions AND-ed
+    across tiles, so they are the same under any column tiling.  A
+    shrink reorders the machine's rows, so the loop restores the entry
+    order before it returns.
 
     The per-iteration work runs as the fused tile passes described at
     the top of this section, and each segment's local dt is cached
-    across iterations (it is loop-invariant; the cache is row-sliced on
-    extraction).
+    across iterations (it is loop-invariant).
     """
     segs = _shard_segments(loop.body)
     tail_ops: tuple = ()
     if segs and segs[-1][1] is None:
         tail_ops = segs.pop()[0]
     remaining = loop.iters
-    parent = ex.machine
-    rows = np.arange(parent.n_configs)
-    n_tiles = len(ex.bounds)
-    shape = parent.rates.shape
-    seg_dt = [_dt_tiles(ex, locs) for locs, _ in segs]
-    tail_dt = _dt_tiles(ex, tail_ops)
-    # Two snapshot generations: ``snap`` is taken at the start of this
-    # iteration, ``older`` at the start of the previous one.
-    snap = tuple(np.empty(shape) for _ in range(4))
-    older = tuple(np.empty(shape) for _ in range(4))
-    parts = np.empty((shape[0], n_tiles), dtype=bool)
-    closed = np.empty(n_tiles, dtype=bool)
+    entry = ex.machine
+    st = _LoopState(ex, [locs for locs, _ in segs] + [tail_ops])
     have_prev = False
-    stable = np.zeros(shape[0], dtype=np.int64)
     while remaining > 0:
         # Only an iteration followed by at least _MIN_FF_REMAINING more
         # runs the detector; the others skip its snapshot.
         detect = remaining - 1 >= _MIN_FF_REMAINING
         pend: tuple | None = None
         if detect:
-            older, snap = snap, older
-        first_snap = snap if detect else None
-        for si, (locs, sync) in enumerate(segs):
-            dts = seg_dt[si]
+            st.older, st.snap = st.snap, st.older
+        first_snap = st.snap if detect else None
+        for (locs, sync), dts in zip(segs, st.dts):
             if isinstance(sync, (VBarrier, VAllreduce)):
                 _fused_pass(ex, pend=pend, snap=first_snap, dt=dts, partial=True)
                 pend = _barrier_pend(ex, sync)
@@ -685,49 +722,23 @@ def _exec_loop_sharded(ex: _ShardedExec, loop: VLoop) -> None:
                     _exec_loop_sharded(ex, sync)
             first_snap = None
         remaining -= 1
+        tail_dt = st.dts[-1]
         if not (detect and have_prev):
             if pend is not None or tail_dt is not None:
                 _fused_pass(ex, pend=pend, dt=tail_dt)
             have_prev = detect
             continue
-        ref, rtol = _ref_delta(ex, pend, tail_dt, snap)
-        _detect_pass(ex, pend, tail_dt, snap, older, ref, rtol, parts, closed)
-        stable = np.where(parts.all(axis=1), stable + 1, 0)
-        retire = stable >= _FF_STABLE_ITERS
+        ref, rtol = _ref_delta(ex, pend, tail_dt, st.snap)
+        _detect_pass(
+            ex, pend, tail_dt, st.snap, st.older, ref, rtol, st.parts, st.closed
+        )
+        st.stable = np.where(st.parts.all(axis=1), st.stable + 1, 0)
+        retire = st.stable >= _FF_STABLE_ITERS
         if np.any(retire):
-            m = ex.machine
-            whole = bool(retire.all())
-            repeats = remaining
-
-            def ff_visit(t: int, a: int, b: int) -> None:
-                m.fast_forward_rows_cols(
-                    a, b, retire, snap, repeats, ex.diff_scr[t], whole
-                )
-
-            ex.foreach(ff_visit)
-            _record_fast_forward(int(retire.sum()), remaining)
-            if ex.machine is not parent:
-                parent.write_rows(rows[retire], ex.machine, retire)
-            keep = ~retire
-            rows = rows[keep]
-            if rows.size == 0:
-                return
-            ex = ex.shrink(keep)
-            shape = ex.machine.rates.shape
-            # The next iteration rotates these: ``older`` becomes this
-            # iteration's snapshot of the kept rows.
-            snap = tuple(s[keep] for s in snap)
-            older = tuple(np.empty(shape) for _ in range(4))
-            parts = np.empty((shape[0], n_tiles), dtype=bool)
-            stable = stable[keep]
-            seg_dt = [
-                None if c is None else [dt[keep] for dt in c] for c in seg_dt
-            ]
-            tail_dt = (
-                None if tail_dt is None else [dt[keep] for dt in tail_dt]
-            )
-    if ex.machine is not parent:
-        parent.write_rows(rows, ex.machine)
+            ex = _retire(ex, st, retire, remaining)
+            if ex is None:
+                break
+    entry.reorder_rows(np.argsort(st.order), st.spare)
 
 
 def _exec_ops_sharded(ex: _ShardedExec, ops: Sequence[_VOp]) -> None:
@@ -808,7 +819,6 @@ def run_fast_sharded(
         )
     tiles = plan.col_tiles()
     busy = [0.0] * len(tiles)
-    tables: dict[VSendrecv, np.ndarray] = {}
     pool: ThreadPoolExecutor | None = None
     traces: list[RankTrace] = []
     t0 = perf_counter()
@@ -833,8 +843,7 @@ def run_fast_sharded(
                 if r.shape[0] == 1 and plan.n_col_shards == 1:
                     machine.observer = telemetry.timeline("fastpath")
                 _exec_ops_sharded(
-                    _ShardedExec(machine, tiles, pool, busy, tables),
-                    program.ops,
+                    _ShardedExec(machine, tiles, pool, busy), program.ops
                 )
                 traces.extend(machine.traces())
         finally:
@@ -891,32 +900,18 @@ def run_fast_batched(
 # -- lowering to the event-driven machine --------------------------------------
 
 
-def _send_targets(op: VSendrecv, n_ranks: int) -> list[list[int]]:
-    """``targets[r]`` = ranks whose neighbour table lists ``r``.
-
-    The BSP exchange has rank *r* wait on its listed neighbours, so the
-    event lowering must have each of those neighbours *send* to r —
-    for an asymmetric table the send set is the transpose of the
-    receive set.  (Torus/ring tables are symmetric; the general form
-    keeps the lowering faithful for arbitrary tables.)
-    """
-    targets: list[list[int]] = [[] for _ in range(n_ranks)]
-    nb = np.asarray(op.neighbors)
-    for r in range(n_ranks):
-        for p in nb[r]:
-            targets[int(p)].append(r)
-    return targets
-
-
 def to_event_program(program: BspProgram) -> Callable[[int], Iterator]:
     """Lower a :class:`BspProgram` to per-rank event-machine generators.
 
     The result runs on :class:`EventDrivenMachine` — the differential
-    reference.  Sends are emitted before receives within each exchange,
-    so lowered programs can never deadlock.
+    reference.  Its halo exchanges send and receive along the explicit
+    index table of :func:`~repro.simmpi.topology.torus_neighbors`, an
+    implementation independent of the fast path's shifted slices.
+    Sends are emitted before receives within each exchange, so lowered
+    programs can never deadlock.
     """
     n = program.n_ranks
-    send_tables: dict[int, list[list[int]]] = {}
+    tables: dict[Torus, np.ndarray] = {}
 
     def lower(ops: Sequence[_VOp], rank: int) -> Iterator:
         for op in ops:
@@ -933,11 +928,14 @@ def to_event_program(program: BspProgram) -> Callable[[int], Iterator]:
             elif isinstance(op, VAllreduce):
                 yield Allreduce(op.message_bytes)
             elif isinstance(op, VSendrecv):
-                table = send_tables.setdefault(id(op), _send_targets(op, n))
-                for dst in table[rank]:
-                    yield Send(dst, message_bytes=op.message_bytes)
-                for src in np.asarray(op.neighbors)[rank]:
-                    yield Recv(int(src))
+                if op.torus not in tables:
+                    tables[op.torus] = torus_neighbors(op.torus.shape)
+                # A torus table is symmetric: r's partners are the
+                # ranks that list r, so r sends to the ranks it hears.
+                for p in tables[op.torus][rank]:
+                    yield Send(int(p), message_bytes=op.message_bytes)
+                for p in tables[op.torus][rank]:
+                    yield Recv(int(p))
             elif isinstance(op, VLoop):
                 for _ in range(op.iters):
                     yield from lower(op.body, rank)
@@ -1012,7 +1010,7 @@ def bsp_app_program(
     if app.cpu_bound_fraction < 1.0:
         body.append(VElapse(fixed))
     if app.comm.kind == "neighbor":
-        body.append(VSendrecv(app.neighbor_table(n_ranks), app.comm.message_bytes))
+        body.append(VSendrecv(app.comm.torus(n_ranks), app.comm.message_bytes))
     elif app.comm.kind == "allreduce":
         body.append(VAllreduce(max(app.comm.message_bytes, 8.0)))
     ops: list[_VOp] = [VLoop(tuple(body), int(n_iters))]

@@ -12,18 +12,22 @@ in the paper is — and costs O(configs × ranks) per superstep, so
 run is a one-row machine.
 
 Semantics of a halo exchange (``sendrecv``): rank *r* may leave the
-exchange of superstep *k* once it **and all its neighbours** have
-reached it.  Iterating supersteps propagates a slow module's delay
-outward one hop per iteration — the wavefront behaviour that makes a
+exchange of superstep *k* once it **and all its neighbours** on the
+exchange's :class:`~repro.simmpi.topology.Torus` have reached it.
+Iterating supersteps propagates a slow module's delay outward one hop
+per iteration — the wavefront behaviour that makes a
 synchronised code's completion time track the globally slowest module
 even though each rank only talks to its neighbours.
 """
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.simmpi.topology import Torus
 from repro.simmpi.tracing import RankTrace
 
 __all__ = ["BatchedBspMachine"]
@@ -86,7 +90,6 @@ class BatchedBspMachine:
         # perform the same IEEE-754 operations as their allocating forms.
         self._ready_scratch = np.empty(shape)
         self._wait_scratch = np.empty(shape)
-        self._take_scratch = np.empty(shape)
         self._rowmax_scratch = np.empty((shape[0], 1))
         #: Optional sync observer of row 0 (duck-typed: ``on_sync(op,
         #: clock_s, wait_s)``), e.g. a telemetry PhaseTimeline, fired by
@@ -98,12 +101,12 @@ class BatchedBspMachine:
     @property
     def n_configs(self) -> int:
         """Number of stacked configurations (rows)."""
-        return int(self.rates.shape[0])
+        return int(self.clock_s.shape[0])
 
     @property
     def n_ranks(self) -> int:
         """Number of ranks per configuration (columns)."""
-        return int(self.rates.shape[1])
+        return int(self.clock_s.shape[1])
 
     @property
     def accumulators(self) -> tuple[np.ndarray, ...]:
@@ -111,51 +114,34 @@ class BatchedBspMachine:
         compute, wait and comm seconds (live views, not copies)."""
         return (self.clock_s, self._compute_s, self._wait_s, self._comm_s)
 
-    @classmethod
-    def _from_state(
-        cls,
-        rates: np.ndarray,
-        latency_s: float,
-        bandwidth_gbps: float,
-        clock_s: np.ndarray,
-        compute_s: np.ndarray,
-        wait_s: np.ndarray,
-        comm_s: np.ndarray,
-    ) -> "BatchedBspMachine":
-        m = cls(rates, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps)
-        np.copyto(m.clock_s, clock_s)
-        np.copyto(m._compute_s, compute_s)
-        np.copyto(m._wait_s, wait_s)
-        np.copyto(m._comm_s, comm_s)
+    def head(self, k: int) -> "BatchedBspMachine":
+        """A machine over the first ``k`` config rows whose state and
+        scratch are views of this one's, so its operations write
+        through.  It carries no rates or observer: after
+        :meth:`reorder_rows` its rows need not be ``rates[:k]``."""
+        m = copy.copy(self)
+        for name in (
+            "clock_s", "_compute_s", "_wait_s", "_comm_s",
+            "_ready_scratch", "_wait_scratch", "_rowmax_scratch",
+        ):
+            setattr(m, name, getattr(self, name)[:k])
+        m.rates = m.observer = None
         return m
 
-    def extract_rows(self, keep: np.ndarray) -> "BatchedBspMachine":
-        """A new machine holding only the selected config rows (copies;
-        the fast path uses this to drop fast-forwarded configs from the
-        active set mid-loop)."""
-        return self._from_state(
-            self.rates[keep],
-            self.latency_s,
-            self.bandwidth_gbps,
-            self.clock_s[keep],
-            self._compute_s[keep],
-            self._wait_s[keep],
-            self._comm_s[keep],
-        )
-
-    def write_rows(
-        self,
-        rows: np.ndarray,
-        sub: "BatchedBspMachine",
-        sub_rows: np.ndarray | None = None,
-    ) -> None:
-        """Copy a sub-machine's state (or a row subset of it) back into
-        the given parent rows."""
-        sel = slice(None) if sub_rows is None else sub_rows
-        self.clock_s[rows] = sub.clock_s[sel]
-        self._compute_s[rows] = sub._compute_s[sel]
-        self._wait_s[rows] = sub._wait_s[sel]
-        self._comm_s[rows] = sub._comm_s[sel]
+    def reorder_rows(self, src: np.ndarray, scratch: np.ndarray) -> None:
+        """Permute the config rows of the state planes in place — row
+        ``i`` takes row ``src[i]``'s state — through ``scratch``, a dead
+        buffer of at least ``n_configs`` rows, so nothing plane-sized is
+        allocated.  Rows before the first moved one stay put."""
+        moved = np.flatnonzero(src != np.arange(src.size))
+        if moved.size:
+            f = int(moved[0])
+            buf = scratch[: src.size - f]
+            for arr in self.accumulators:
+                # Indices are in range, so "clip" only skips the output
+                # buffering of the default mode.
+                np.take(arr[f:], src[f:] - f, axis=0, out=buf, mode="clip")
+                np.copyto(arr[f:], buf)
 
     # -- operations ------------------------------------------------------------
 
@@ -168,7 +154,7 @@ class BatchedBspMachine:
         compute time.
         """
         dt = np.broadcast_to(
-            np.asarray(dt_seconds, dtype=float), self.rates.shape
+            np.asarray(dt_seconds, dtype=float), self.clock_s.shape
         )
         if np.any(dt < 0):
             raise SimulationError("local time must be non-negative")
@@ -193,21 +179,23 @@ class BatchedBspMachine:
             "allreduce",
         )
 
-    def sendrecv(self, neighbors: np.ndarray, message_bytes: float = 0.0) -> None:
-        """Per-config halo exchange on a shared neighbour table.
+    def sendrecv(self, torus: Torus, message_bytes: float = 0.0) -> None:
+        """Per-config halo exchange on a periodic rank torus.
 
-        ``neighbors`` has shape ``(n_ranks, k)``; entry ``[r, j]`` is the
-        j-th partner of rank r.  The exchange completes for rank r when r
-        and all partners have entered it.  ``message_bytes`` is the halo
+        The exchange completes for rank r when r and all its partners on
+        ``torus`` (a :class:`~repro.simmpi.topology.Torus` over
+        :attr:`n_ranks`) have entered it.  ``message_bytes`` is the halo
         size *per neighbour*; see :meth:`sendrecv_cost`.
         """
-        nb = self.check_neighbors(neighbors)
+        if not isinstance(torus, Torus) or torus.n_ranks != self.n_ranks:
+            raise SimulationError(
+                f"sendrecv needs a Torus over {self.n_ranks} ranks; "
+                f"got {torus!r}"
+            )
         ready = self._ready_scratch
-        self.gather_ready_cols(
-            0, self.n_ranks, nb, ready, (self._wait_scratch, self._take_scratch)
-        )
+        self.gather_ready_cols(0, self.n_ranks, torus, ready)
         self.sync_cols(
-            0, self.n_ranks, ready, self.sendrecv_cost(nb, message_bytes),
+            0, self.n_ranks, ready, self.sendrecv_cost(torus, message_bytes),
             self._wait_scratch, "sendrecv",
         )
 
@@ -222,25 +210,14 @@ class BatchedBspMachine:
             hops * self.latency_s + message_bytes / (self.bandwidth_gbps * 1e9)
         )
 
-    def sendrecv_cost(self, nb: np.ndarray, message_bytes: float) -> float:
+    def sendrecv_cost(self, torus: Torus, message_bytes: float) -> float:
         """Transfer cost of one halo exchange: one latency plus one
-        ``message_bytes`` transfer per neighbour."""
-        return self.latency_s + message_bytes * nb.shape[1] / (
+        ``message_bytes`` transfer per partner, counting self and
+        duplicate partners (:attr:`Torus.degree
+        <repro.simmpi.topology.Torus.degree>`)."""
+        return self.latency_s + message_bytes * torus.degree / (
             self.bandwidth_gbps * 1e9
         )
-
-    def check_neighbors(self, neighbors: np.ndarray) -> np.ndarray:
-        """``neighbors`` as an array, validated as an ``(n_ranks, k)``
-        table of in-range rank indices — the precondition of
-        :meth:`gather_ready_cols`."""
-        nb = np.asarray(neighbors)
-        if nb.ndim != 2 or nb.shape[0] != self.n_ranks:
-            raise SimulationError(
-                f"neighbors must have shape (n_ranks, k); got {nb.shape}"
-            )
-        if nb.size and (nb.min() < 0 or nb.max() >= self.n_ranks):
-            raise SimulationError("neighbor indices out of range")
-        return nb
 
     # -- column operations ---------------------------------------------------------
     #
@@ -271,34 +248,21 @@ class BatchedBspMachine:
         np.max(self.clock_s[:, a:b], axis=1, out=out)
 
     def gather_ready_cols(
-        self,
-        a: int,
-        b: int,
-        nb: np.ndarray,
-        out: np.ndarray,
-        scratch: tuple[np.ndarray, np.ndarray],
+        self, a: int, b: int, torus: Torus, out: np.ndarray
     ) -> None:
         """A halo exchange's ready value for columns ``[a, b)``: each
-        rank's clock maxed with its neighbours'.
+        rank's clock maxed with its partners' on ``torus``.
 
-        Reads the *whole* clock plane (neighbours live in other tiles),
+        Reads the *whole* clock plane (partners live in other tiles),
         writes only ``out`` — callers must not mutate clocks anywhere
-        while a gather pass is in flight.  Partner-at-a-time gathers into
-        tile-shaped scratch instead of one ``(C, R, k)`` fancy-indexed
-        temporary: max is exact and selects an operand, so the
-        accumulation order cannot change the result.
-
-        ``nb`` must have passed :meth:`check_neighbors`: the takes run in
-        ``"clip"`` mode, which skips the bounds check and the output
-        buffering of numpy's default ``"raise"`` mode, and gives the same
-        values only because every index is in range.
+        while a gather pass is in flight.  The partners' clocks are
+        shifted slices of the plane (:meth:`Torus.partner_max
+        <repro.simmpi.topology.Torus.partner_max>`), maxed straight into
+        ``out``: max is exact and selects an operand, so neither the
+        slicing nor the accumulation order can change the result.
         """
-        g, h = scratch
-        np.take(self.clock_s, nb[a:b, 0], axis=1, out=g, mode="clip")
-        for j in range(1, nb.shape[1]):
-            np.take(self.clock_s, nb[a:b, j], axis=1, out=h, mode="clip")
-            np.maximum(g, h, out=g)
-        np.maximum(self.clock_s[:, a:b], g, out=out)
+        np.copyto(out, self.clock_s[:, a:b])
+        torus.partner_max(self.clock_s, a, b, out)
 
     def sync_cols(
         self,
@@ -342,7 +306,6 @@ class BatchedBspMachine:
         since: tuple[np.ndarray, ...],
         repeats: int,
         scratch: np.ndarray,
-        whole: bool,
     ) -> None:
         """Repeat the selected ``rows``' latest increment ``repeats``
         more times on columns ``[a, b)``.
@@ -350,18 +313,16 @@ class BatchedBspMachine:
         The increment is each accumulator's change since the ``since``
         snapshot (machine-shaped buffers from :meth:`snapshot_cols`),
         computed into the tile-shaped ``scratch``; per element this is
-        one ``a + repeats * d`` multiply-add.  ``whole`` precomputes
-        ``rows.all()`` once for all tiles (the whole batch retiring
-        skips the masked update)."""
+        one ``a + repeats * d`` multiply-add, masked to ``rows`` without
+        a temporary."""
         if repeats <= 0:
             return
+        mask = rows[:, None]
         for arr, s in zip(self.accumulators, since):
-            d = np.subtract(arr[:, a:b], s[:, a:b], out=scratch)
+            tile = arr[:, a:b]
+            d = np.subtract(tile, s[:, a:b], out=scratch)
             d *= repeats
-            if whole:
-                arr[:, a:b] += d
-            else:
-                arr[rows, a:b] += d[rows]
+            np.add(tile, d, out=tile, where=mask)
 
     # -- results ---------------------------------------------------------------
 

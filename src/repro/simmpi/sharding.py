@@ -2,7 +2,7 @@
 
 The fast path streams ~20 fleet-sized float64 arrays per superstep
 (the four accumulators, rates, two snapshot quads, the gathered ready
-plane, cached local time, sync, gather and detector scratch).  Once
+plane, cached local time, sync and detector scratch).  Once
 the per-superstep working set outgrows the CPU caches, every numpy op
 becomes a DRAM-bandwidth-bound pass and throughput falls off a cliff —
 the 50k→100k-module drop in ``BENCH_fleet.json``.  The fix is
@@ -43,12 +43,13 @@ __all__ = [
 ]
 
 #: Per-plane-element working-set footprint of one sharded superstep, in
-#: bytes.  The live float64 arrays are 20: machine state ×4, rates, two
+#: bytes.  The live float64 arrays are 18: machine state ×4, rates, two
 #: snapshot quads ×8 (this iteration's and the previous one's), the
-#: gathered ready plane, cached dt, and tile scratch ×5 (sync wait,
-#: detector diff and tolerance, two halo-gather buffers) — 160 bytes.
-#: The value stays at 176 so tile widths, and the plans built from
-#: them, do not change.
+#: gathered ready plane, cached dt, and tile scratch ×3 (sync wait,
+#: detector diff and tolerance) — 144 bytes; halo gathers need no
+#: scratch, since they max shifted slices straight into the ready
+#: plane.  The value stays at 176 so tile widths, and the plans built
+#: from them, do not change.
 BYTES_PER_ELEMENT = 176
 
 #: Default per-tile working-set budget.  Sized to sit inside a shared

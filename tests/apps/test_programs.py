@@ -9,7 +9,7 @@ from repro.apps.programs import (
     master_worker_program,
     pipeline_program,
 )
-from repro.simmpi.topology import ring_neighbors, torus_neighbors
+from repro.simmpi.topology import Torus, torus_neighbors
 from repro.errors import ConfigurationError
 from repro.simmpi.eventsim import EventDrivenMachine
 from repro.simmpi.machine import BatchedBspMachine
@@ -34,7 +34,7 @@ class TestHaloExchange:
         )
         for _ in range(12):
             bsp.advance_local(2.0 / rates)
-            bsp.sendrecv(nb)
+            bsp.sendrecv(Torus((3, 3, 3)))
         t_bsp = bsp.traces()[0]
         assert np.allclose(t_ev.total_s, t_bsp.total_s)
         assert np.allclose(t_ev.wait_s, t_bsp.wait_s)
@@ -43,7 +43,7 @@ class TestHaloExchange:
         with pytest.raises(ConfigurationError):
             halo_exchange_program(np.zeros(4, dtype=int), ghz_seconds=1.0, n_iters=1)
         with pytest.raises(ConfigurationError):
-            halo_exchange_program(ring_neighbors(4), ghz_seconds=1.0, n_iters=0)
+            halo_exchange_program(torus_neighbors((4,)), ghz_seconds=1.0, n_iters=0)
 
 
 class TestAllreduceProgram:

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi.topology import grid_dims, ring_neighbors, torus_neighbors
+from repro.simmpi.topology import Torus, grid_dims, torus_neighbors
 from repro.errors import ConfigurationError
 
 
 class TestRing:
     def test_small_ring(self):
-        nb = ring_neighbors(4)
+        nb = torus_neighbors((4,))
         assert nb.shape == (4, 2)
         assert list(nb[0]) == [3, 1]
         assert list(nb[3]) == [2, 0]
 
     def test_single_rank_self(self):
-        nb = ring_neighbors(1)
+        nb = torus_neighbors((1,))
         assert list(nb[0]) == [0, 0]
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
-            ring_neighbors(0)
+            torus_neighbors((0,))
 
 
 class TestGridDims:
@@ -85,3 +85,30 @@ class TestTorus:
             torus_neighbors(())
         with pytest.raises(ConfigurationError):
             torus_neighbors((0, 2))
+
+
+class TestTorusPartnerMax:
+    """``Torus.partner_max`` (shifted slices) against the index table of
+    ``torus_neighbors``, on column tiles cut anywhere: partial blocks at
+    tile edges, extent-1 and extent-2 axes, tiles narrower than a
+    block and tiles spanning several."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_index_table_on_any_tiling(self, shape, cuts, seed):
+        torus = Torus(tuple(shape))
+        n = torus.n_ranks
+        plane = np.random.default_rng(seed).uniform(0.0, 10.0, (3, n))
+        want = plane.copy()
+        for col in torus_neighbors(torus.shape).T:
+            want = np.maximum(want, plane[:, col])
+        bounds = sorted({0, n, *(int(c * n) for c in cuts)})
+        got = np.empty_like(plane)
+        for a, b in zip(bounds, bounds[1:]):
+            np.copyto(got[:, a:b], plane[:, a:b])
+            torus.partner_max(plane, a, b, got[:, a:b])
+        assert np.array_equal(got, want)

@@ -26,7 +26,12 @@ from .test_golden import GOLDEN_FLEET_4096, REL
 
 MILLION = 1_000_000
 MAX_WALL_S = 300.0
-MAX_PEAK_RSS_MB = 3072.0
+#: Process peak RSS budget of the 1M point.  Measured on a 2-vCPU Xeon
+#: host: about 1,052 MiB when every halo exchange built an (n, 4) index
+#: table and every retirement copied the machine, about 778 MiB since
+#: halos are shifted slices and retirement shrinks the active set in
+#: place.  A regression to either copy trips the budget.
+MAX_PEAK_RSS_MB = 900.0
 
 
 def _peak_rss_mb() -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simmpi.topology import ring_neighbors
+from repro.simmpi.topology import Torus, torus_neighbors
 from repro.errors import SimulationError
 from repro.simmpi.eventsim import (
     Allreduce,
@@ -218,7 +218,7 @@ class TestCrossValidationAgainstBsp:
         rng = np.random.default_rng(seed)
         n, iters = 12, 15
         rates = rng.uniform(1.0, 2.5, n)
-        nb = ring_neighbors(n)
+        nb = torus_neighbors((n,))
 
         # BSP path (zero transfer cost isolates the synchronisation).
         bsp = BatchedBspMachine(
@@ -226,7 +226,7 @@ class TestCrossValidationAgainstBsp:
         )
         for _ in range(iters):
             bsp.advance_local(3.0 / rates)
-            bsp.sendrecv(nb)
+            bsp.sendrecv(Torus((n,)))
         t_bsp = bsp.traces()[0]
 
         # Event-driven path: explicit eager sends then receives.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi.topology import ring_neighbors
+from repro.simmpi.topology import Torus, torus_neighbors
 from repro.simmpi.eventsim import (
     Allreduce,
     Barrier,
@@ -30,7 +30,7 @@ rates_st = st.lists(
 def run_bsp(rates, schedule):
     r = np.asarray(rates, dtype=float)
     m = BatchedBspMachine(r[None], latency_s=0.0, bandwidth_gbps=1e12)
-    nb = ring_neighbors(len(rates))
+    nb = Torus((len(rates),))
     for work, kind in schedule:
         m.advance_local(work / r)
         if kind == "barrier":
@@ -43,7 +43,7 @@ def run_bsp(rates, schedule):
 
 
 def run_event(rates, schedule):
-    nb = ring_neighbors(len(rates))
+    nb = torus_neighbors((len(rates),))
     machine = EventDrivenMachine(
         np.asarray(rates), latency_s=0.0, bandwidth_gbps=1e12
     )

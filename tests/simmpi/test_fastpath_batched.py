@@ -12,19 +12,28 @@ would retire alone (``c + k*d`` is not bitwise ``(c+d) + (k-1)*d``).
 Random programs reuse the generators of
 ``tests/simmpi/test_fastpath_differential.py``; partial-retirement cases
 (some rows steady, some noisy) are constructed explicitly since they
-exercise the active-set shrink that carries detector state across
-:meth:`extract_rows`.
+exercise the in-place active-set shrink that carries detector state
+across a retirement.
 """
 
+import sys
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
+
+import repro.simmpi.fastpath as fastpath
 
 from repro.apps.base import AppModel, CommSpec
 from repro.hardware.power_model import PowerSignature
+from repro.simmpi.sharding import plan_shards
+from repro.simmpi.topology import Torus
 from repro.simmpi.fastpath import (
     BspProgram,
     VAllreduce,
     VCompute,
+    VElapse,
     VLoop,
     VSendrecv,
     run_fast,
@@ -101,7 +110,7 @@ class TestPartialRetirement:
         """Steady rows retire mid-loop while ragged rows run to the end;
         every row must still match its own one-row execution exactly."""
         n = 6
-        nb = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1)
+        nb = Torus((n,))
         program = BspProgram(
             n,
             (
@@ -131,6 +140,129 @@ class TestPartialRetirement:
         batched = run_fast_batched(program, rates)
         ref = run_fast(program, rates[0])
         assert_traces_bit_identical(batched[0], ref)
+
+
+class TestInPlaceShrink:
+    """Retirement partitions the machine's rows in place and carries on
+    with row views; these pin what that must never change."""
+
+    N = 12
+
+    def _nested_program(self) -> BspProgram:
+        """A halo loop nested in a halo loop, then an allreduce: rows
+        retire inside the nested loop, then in the outer loop, and
+        nested loops entered after an outer retirement run on the
+        reordered rows."""
+        ring = Torus((self.N,))
+        work = np.random.default_rng(5).uniform(0.5, 1.5, self.N)
+        return BspProgram(self.N, (
+            VLoop((
+                VCompute(work),
+                VLoop((VCompute(1.0), VSendrecv(ring, 0.0)), 25),
+                VSendrecv(ring, 0.0),
+            ), 30),
+            VAllreduce(8.0),
+        ))
+
+    def _rates(self) -> np.ndarray:
+        """Ragged rows around flat ones, so middle rows retire first."""
+        rng = np.random.default_rng(5)
+        rng.uniform(0.5, 1.5, self.N)  # the program's work draw
+        n = self.N
+        return np.stack([
+            1.0 + rng.uniform(0.0, 2.0, n),
+            np.full(n, 2.0),
+            1.5 + rng.uniform(0.0, 0.5, n),
+            np.full(n, 3.3),
+            1.0 + rng.uniform(0.0, 3.0, n),
+        ])
+
+    @staticmethod
+    def _record_retirements(monkeypatch) -> list:
+        """``(loop depth, retire mask)`` of every retirement."""
+        calls = []
+        retire = fastpath._retire
+
+        def recording(ex, st, mask, remaining):
+            f, depth = sys._getframe(), 0
+            while f is not None:
+                depth += f.f_code.co_name == "_exec_loop_sharded"
+                f = f.f_back
+            calls.append((depth, mask.copy()))
+            return retire(ex, st, mask, remaining)
+
+        monkeypatch.setattr(fastpath, "_retire", recording)
+        return calls
+
+    def test_rates_untouched_when_a_middle_row_retires_first(self, monkeypatch):
+        calls = self._record_retirements(monkeypatch)
+        rates = self._rates()
+        before = rates.tobytes()
+        run_fast_batched(self._nested_program(), rates)
+        first = calls[0][1]
+        assert first[1] and not first[0] and not first.all()
+        assert rates.tobytes() == before
+
+    @pytest.mark.parametrize("layout", ["whole_plane", "tiles_5_workers_2"])
+    def test_nested_retirement_then_allreduce_matches_single_rows(
+        self, monkeypatch, layout
+    ):
+        rates = self._rates()
+        shard = None
+        if layout != "whole_plane":
+            shard = plan_shards(len(rates), self.N, shard_ranks=5, shard_workers=2)
+            assert shard.n_col_shards > 1 and shard.n_workers == 2
+        calls = self._record_retirements(monkeypatch)
+        batched = run_fast_batched(self._nested_program(), rates, shard=shard)
+        # Partial retirements inside the nested loop, in the outer loop,
+        # and in nested loops entered after an outer one.
+        partial = [depth for depth, mask in calls if not mask.all()]
+        assert 2 in partial and 1 in partial
+        assert 2 in partial[partial.index(1):]
+        for c in range(len(rates)):
+            ref = run_fast_batched(self._nested_program(), rates[c:c + 1])[0]
+            assert_traces_bit_identical(batched[c], ref, f"row {c}: ")
+
+    @pytest.mark.parametrize("layout", ["whole_plane", "tiles_700_workers_2"])
+    def test_retirement_allocates_no_plane(self, monkeypatch, layout):
+        """The traced peak across a retirement stays below one row of
+        the plane: no plane, snapshot or local-time cache is copied."""
+        torus = Torus((256, 256))
+        n = torus.n_ranks
+        rng = np.random.default_rng(3)
+        rates = np.stack([
+            1.0 + rng.uniform(0.0, 1.0, n),
+            np.full(n, 2.0),
+            1.0 + rng.uniform(0.0, 1.0, n),
+            1.0 + rng.uniform(0.0, 1.0, n),
+        ])
+        program = BspProgram(n, (
+            VLoop((VCompute(1.0), VSendrecv(torus, 64.0), VElapse(0.1)), 12),
+            VAllreduce(8.0),
+        ))
+        shard = None
+        if layout != "whole_plane":
+            shard = plan_shards(4, n, shard_ranks=700, shard_workers=2)
+        peaks = []
+        retire = fastpath._retire
+
+        def traced(ex, st, mask, remaining):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = retire(ex, st, mask, remaining)
+            peaks.append((mask.copy(), tracemalloc.get_traced_memory()[1] - base))
+            return out
+
+        monkeypatch.setattr(fastpath, "_retire", traced)
+        tracemalloc.start()
+        try:
+            batched = run_fast_batched(program, rates, shard=shard)
+        finally:
+            tracemalloc.stop()
+        assert [m.tolist() for m, _ in peaks] == [[False, True, False, False]]
+        assert peaks[0][1] < n * 8
+        ref = run_fast_batched(program, rates[1:2])[0]
+        assert_traces_bit_identical(batched[1], ref)
 
 
 class TestAppDispatch:

@@ -13,10 +13,9 @@ The traces are pinned as sha256 digests under the whole-plane layout
 worker threads.  Each row's fast-forward telemetry is pinned too: the
 iteration it retires at fixes how many iterations it skips.
 
-The same stack also checks the detector's tile counters and that each
-neighbour table is validated once per run, and still is when it was
-corrupted after the program was built: the halo gathers take in
-``"clip"`` mode, which would otherwise hide an out-of-range index.
+The same stack also checks the detector's tile counters and that no
+neighbour table is built on the fast path; the descriptor checks of
+:class:`~repro.simmpi.topology.Torus` sit beside it.
 """
 
 import hashlib
@@ -25,7 +24,7 @@ import numpy as np
 import pytest
 
 import repro.telemetry as telemetry
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.simmpi.fastpath import (
     BspProgram,
     VAllreduce,
@@ -34,12 +33,9 @@ from repro.simmpi.fastpath import (
     VLoop,
     VSendrecv,
     run_fast_batched,
-    run_fast_sharded,
 )
-from repro.simmpi.machine import BatchedBspMachine
 from repro.simmpi.sharding import plan_shards
-from repro.simmpi.topology import torus_neighbors
-from tests.simmpi.test_fastpath_sharded import fixed_width_plan
+from repro.simmpi.topology import Torus
 
 SHAPE = (64, 48)
 N = SHAPE[0] * SHAPE[1]
@@ -55,7 +51,7 @@ def _program() -> BspProgram:
     return BspProgram(N, (
         VLoop((
             VCompute(work),
-            VSendrecv(torus_neighbors(SHAPE), 256.0),
+            VSendrecv(Torus(SHAPE), 256.0),
             VElapse(0.05),
         ), ITERS),
         VAllreduce(8.0),
@@ -134,16 +130,6 @@ def test_row_fast_forward_pin(row):
     assert (hist.count, hist.total) == (1, ROW_SAVED_ITERS[row])
 
 
-def test_mutated_neighbor_table_still_rejected():
-    """The table is validated on every run, not only at construction: a
-    neighbour index pushed out of range afterwards must fail the run."""
-    program = _program()
-    table = program.ops[0].body[1].neighbors
-    table[17, 2] = N
-    with pytest.raises(SimulationError, match="out of range"):
-        run_fast_batched(program, _rates())
-
-
 def test_detector_skips_tiles_without_a_uniform_row():
     """Tiles where no row advances uniformly skip the close test, and
     the telemetry shows how many did: 67 detector passes over 12 tiles,
@@ -158,22 +144,30 @@ def test_detector_skips_tiles_without_a_uniform_row():
     assert (tiles, closed) == (804, 323)
 
 
-def test_neighbor_tables_checked_once_per_run(monkeypatch):
-    """Each exchange's table is validated once per run, however many
-    supersteps, row blocks or retirements the run goes through."""
-    calls = []
-    check = BatchedBspMachine.check_neighbors
+@pytest.mark.parametrize("shape", [(64, 47), (N + 1,), (2, 3)])
+def test_torus_over_other_rank_count_rejected(shape):
+    """A torus whose extents multiply to anything but the program's
+    ranks fails at program construction."""
+    with pytest.raises(ConfigurationError, match="Torus over 3072 ranks"):
+        BspProgram(N, (VLoop((VCompute(1.0), VSendrecv(Torus(shape))), 4),))
 
-    def counting(self, neighbors):
-        calls.append(id(neighbors))
-        return check(self, neighbors)
 
-    monkeypatch.setattr(BatchedBspMachine, "check_neighbors", counting)
-    torus = torus_neighbors(SHAPE)
-    program = BspProgram(N, (
-        VLoop((VCompute(1.0), VSendrecv(torus, 64.0)), 20),
-        VLoop((VCompute(1.0), VSendrecv(torus[:, ::-1].copy(), 0.0)), 20),
-    ))
-    plan = fixed_width_plan(4, N, 700, row_block=1)
-    run_fast_sharded(program, _rates(), plan=plan)
-    assert len(calls) == 2 and len(set(calls)) == 2
+@pytest.mark.parametrize("shape", [(), (0,), (64, 0), (-1, -3072), (2.0, 3)])
+def test_malformed_torus_rejected(shape):
+    """An empty shape, or an extent that is not a positive integer, is
+    not a torus."""
+    with pytest.raises(ConfigurationError, match="torus shape"):
+        Torus(shape)
+
+
+def test_torus_gather_builds_no_rank_table(monkeypatch):
+    """The fast path never calls the event lowering's index-table
+    builder: halos are gathered from shifted slices."""
+    import repro.simmpi.fastpath as fastpath
+
+    def fail(shape):
+        raise AssertionError(f"built a neighbour table for {shape}")
+
+    monkeypatch.setattr(fastpath, "torus_neighbors", fail)
+    traces = run_fast_batched(_program(), _rates(), shard=LAYOUTS["tiles_256"])
+    assert _digest(traces) == STACK_PIN

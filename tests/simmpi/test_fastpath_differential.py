@@ -8,7 +8,10 @@ point-to-point matching).  These tests generate random programs with
 hypothesis — mixes of compute/elapse/barrier/allreduce/sendrecv, with
 randomised per-rank payloads, rates, topologies and network parameters —
 and require the two paths to agree on every :class:`RankTrace` field to
-1e-9 relative, with identical shapes and dtypes.
+1e-9 relative, with identical shapes and dtypes.  Halo exchanges run on
+random 1-, 2- and 3-D tori, extent-1 and extent-2 axes included: the
+fast path gathers them from shifted slices, the event lowering from the
+explicit index table of ``torus_neighbors``.
 
 Transfer-cost convention: the event lowering of a halo exchange charges
 transfer costs per point-to-point message rather than once per
@@ -27,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.base import AppModel, CommSpec
-from repro.simmpi.topology import grid_dims, torus_neighbors
+from repro.simmpi.topology import Torus, grid_dims, torus_neighbors
 from repro.hardware.power_model import PowerSignature
 from repro.simmpi.eventsim import EventDrivenMachine
 from repro.simmpi.fastpath import (
@@ -77,12 +80,15 @@ def _payload(draw, n: int, hi: float):
     return np.array([draw(st.floats(0.0, hi)) for _ in range(n)])
 
 
-def _neighbor_table(draw, n: int) -> np.ndarray:
-    """A ring or a random-dimension torus over ``n`` ranks."""
-    if draw(st.booleans()):
-        idx = np.arange(n)
-        return np.stack([(idx - 1) % n, (idx + 1) % n], axis=1)
-    return torus_neighbors(grid_dims(n, draw(st.integers(1, 2))))
+def _torus(draw, n: int) -> Torus:
+    """A random 1-, 2- or 3-D torus over ``n`` ranks: each extent is a
+    drawn divisor of the ranks left, so extents of 1 and 2 are common."""
+    shape = []
+    for _ in range(draw(st.integers(0, 2))):
+        divisors = [d for d in range(1, n + 1) if n % d == 0]
+        shape.append(draw(st.sampled_from(divisors)))
+        n //= shape[-1]
+    return Torus((*shape, n))
 
 
 @st.composite
@@ -105,7 +111,7 @@ def op_lists(draw, n: int, allow_sendrecv: bool, depth: int = 1) -> list:
             ops.append(VAllreduce(draw(st.floats(0.0, 1e6))))
         elif kind == "sendrecv":
             # Zero payload by convention (see module docstring).
-            ops.append(VSendrecv(_neighbor_table(draw, n), 0.0))
+            ops.append(VSendrecv(_torus(draw, n), 0.0))
         else:
             body = draw(op_lists(n, allow_sendrecv, depth=depth - 1))
             ops.append(VLoop(tuple(body), draw(st.integers(1, 12))))
@@ -120,7 +126,7 @@ def program_cases(draw, force_sendrecv: bool = False):
     ops = draw(op_lists(n, allow_sendrecv))
     if force_sendrecv and not contains_sendrecv(ops):
         body = (VCompute(_payload(draw, n, 2.0)),
-                VSendrecv(_neighbor_table(draw, n), 0.0))
+                VSendrecv(_torus(draw, n), 0.0))
         ops.append(VLoop(body, draw(st.integers(2, 20))))
     program = BspProgram(n, tuple(ops))
     rates = np.array([draw(st.floats(0.5, 4.0)) for _ in range(n)])
@@ -227,10 +233,10 @@ class TestFastForwardExactness:
         rng = np.random.default_rng(11)
         n, iters = 12, 200
         rates = rng.uniform(1.0, 3.0, n)
-        nb = torus_neighbors(grid_dims(n, 2))
-        program = BspProgram(
-            n, (VLoop((VCompute(rng.uniform(0.2, 0.8, n)), VSendrecv(nb, 0.0)), iters),)
-        )
+        program = BspProgram(n, (
+            VLoop((VCompute(rng.uniform(0.2, 0.8, n)),
+                   VSendrecv(Torus(grid_dims(n, 2)), 0.0)), iters),
+        ))
         fast = run_fast(program, rates, latency_s=0.0)
         ref = run_event(program, rates, latency_s=0.0)
         assert_traces_equivalent(fast, ref)
@@ -243,7 +249,7 @@ class TestFastForwardExactness:
         fast-forward must not treat that transient plateau as steady
         state (rank 1 here gains its last 0.125 s only on iteration 8)."""
         n = 6
-        ring = np.array([[(r - 1) % n, (r + 1) % n] for r in range(n)])
+        ring = Torus((n,))
         work = np.zeros(n)
         work[3] = 1.0  # head start for the slowest rank's wavefront
         body_work = np.array([0.0, 1.75, 0.0, 1.875, 0.0, 0.0])
@@ -268,7 +274,7 @@ class TestProgramValidation:
     :class:`ConfigurationError`, before either executor can run them —
     so the fast path and the event lowering never disagree on one."""
 
-    RING = np.stack([(np.arange(4) - 1) % 4, (np.arange(4) + 1) % 4], axis=1)
+    RING = Torus((4,))
 
     def test_malformed_ops_rejected(self):
         from repro.errors import ConfigurationError
@@ -277,8 +283,9 @@ class TestProgramValidation:
             (VCompute(np.ones(3)),),
             (VCompute(-1.0),),
             (VElapse(np.nan),),
-            (VSendrecv(self.RING[:3], 0.0),),
-            (VSendrecv(np.full((4, 2), 4), 0.0),),
+            (VSendrecv(Torus((3,)), 0.0),),
+            (VSendrecv(Torus((2, 3)), 0.0),),
+            (VSendrecv(torus_neighbors((4,)), 0.0),),
             (VLoop((VBarrier(),), 0),),
             ("barrier",),
         ]

@@ -37,7 +37,7 @@ from repro.simmpi.fastpath import (
     VSendrecv,
     run_fast_batched,
 )
-from repro.simmpi.topology import ring_neighbors, torus_neighbors
+from repro.simmpi.topology import Torus
 
 N = 12
 TRACE_FIELDS = ("total_s", "compute_s", "wait_s", "comm_s")
@@ -47,8 +47,8 @@ def _programs() -> dict[str, BspProgram]:
     rng = np.random.default_rng(19)
     work = rng.uniform(0.5, 1.5, N)
     stall = rng.uniform(0.0, 0.2, N)
-    ring = ring_neighbors(N)
-    torus = torus_neighbors((4, 3))
+    ring = Torus((N,))
+    torus = Torus((4, 3))
     return {
         "barrier": BspProgram(N, (
             VCompute(work),
@@ -195,7 +195,7 @@ def _timeline_program() -> BspProgram:
     return BspProgram(N, (
         VCompute(work),
         VBarrier(),
-        VLoop((VCompute(work), VSendrecv(ring_neighbors(N), 512.0),
+        VLoop((VCompute(work), VSendrecv(Torus((N,)), 512.0),
                VAllreduce(64.0)), 12),
         VLoop((VCompute(0.25), VBarrier()), 4),
         VAllreduce(8.0),

@@ -40,6 +40,7 @@ from repro.simmpi.fastpath import (
     simulate_app_batched,
 )
 from repro.simmpi.sharding import ShardPlan, ShardSpec, plan_shards
+from repro.simmpi.topology import Torus
 
 from tests.simmpi.test_fastpath_batched import (
     assert_traces_bit_identical,
@@ -129,7 +130,7 @@ class TestRandomShardedEquivalence:
 class TestPartialRetirementSharded:
     def _case(self):
         n = 13
-        nb = np.stack([(np.arange(n) - 1) % n, (np.arange(n) + 1) % n], axis=1)
+        nb = Torus((n,))
         program = BspProgram(
             n,
             (

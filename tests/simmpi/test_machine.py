@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi.topology import ring_neighbors, torus_neighbors
+from repro.simmpi.topology import Torus, torus_neighbors
 from repro.errors import SimulationError
 from repro.simmpi.machine import BatchedBspMachine
 
@@ -115,7 +115,7 @@ class TestSendrecv:
         # Ring of 4: rank 2 is slow; only 1 and 3 wait after one exchange.
         m = machine([1.0, 1.0, 0.5, 1.0])
         compute(m, 1.0)  # clocks 1,1,2,1
-        m.sendrecv(ring_neighbors(4))
+        m.sendrecv(Torus((4,)))
         assert np.allclose(clock(m), [1.0, 2.0, 2.0, 2.0])
 
     def test_delay_propagates_one_hop_per_superstep(self):
@@ -123,7 +123,7 @@ class TestSendrecv:
         rates = np.ones(n)
         rates[4] = 0.5
         m = machine(rates)
-        nb = ring_neighbors(n)
+        nb = Torus((n,))
         compute(m, 1.0)
         m.sendrecv(nb)
         # After one superstep the delay reached ranks 3 and 5 only
@@ -144,7 +144,7 @@ class TestSendrecv:
         rates = np.ones(n)
         rates[7] = 0.5
         m = machine(rates)
-        nb = ring_neighbors(n)
+        nb = Torus((n,))
         for _ in range(300):
             compute(m, 1.0)
             m.sendrecv(nb)
@@ -158,15 +158,35 @@ class TestSendrecv:
     def test_torus_neighbors_accepted(self):
         m = machine(np.ones(8))
         compute(m, 1.0)
-        m.sendrecv(torus_neighbors((2, 2, 2)))
+        m.sendrecv(Torus((2, 2, 2)))
         assert np.allclose(clock(m), 1.0)
+
+    def test_flat_axis_partners_are_charged(self):
+        """``Torus((n, 1))``'s extent-1 axis adds nothing to the gather
+        but its two self-partners still pay transfer cost: 4 partners,
+        the column count of its table."""
+        n, latency, bandwidth, payload = 6, 2e-6, 4.0, 1000.0
+        torus = Torus((n, 1))
+        assert torus.degree == torus_neighbors((n, 1)).shape[1] == 4
+        m = BatchedBspMachine(
+            np.ones((1, n)), latency_s=latency, bandwidth_gbps=bandwidth
+        )
+        m.sendrecv(torus, payload)
+        want = latency + payload * 4 / (bandwidth * 1e9)
+        assert np.array_equal(trace(m).comm_s, np.full(n, want))
+        ring = BatchedBspMachine(
+            np.ones((1, n)), latency_s=latency, bandwidth_gbps=bandwidth
+        )
+        ring.sendrecv(Torus((n,)), payload)
+        two = latency + payload * 2 / (bandwidth * 1e9)
+        assert np.array_equal(trace(ring).comm_s, np.full(n, two))
 
     def test_shape_validation(self):
         m = machine(np.ones(4))
         with pytest.raises(SimulationError):
-            m.sendrecv(np.zeros((3, 2), dtype=int))
+            m.sendrecv(Torus((3,)))
         with pytest.raises(SimulationError):
-            m.sendrecv(np.full((4, 2), 9))
+            m.sendrecv(np.full((4, 2), 1))
 
 
 class TestObserver:
@@ -182,7 +202,7 @@ class TestObserver:
         compute(m, 4.0)
         m.barrier()
         m.allreduce(8.0)
-        m.sendrecv(ring_neighbors(4))
+        m.sendrecv(Torus((4,)))
         assert [op for op, _, _ in seen] == ["barrier", "allreduce", "sendrecv"]
         op, clk, wait = seen[0]
         assert clk.shape == wait.shape == (4,)
@@ -220,7 +240,7 @@ class TestTrace:
     )
     def test_invariants(self, rates, iters):
         m = machine(rates)
-        nb = ring_neighbors(len(rates))
+        nb = Torus((len(rates),))
         for _ in range(iters):
             compute(m, 1.0)
             m.sendrecv(nb)

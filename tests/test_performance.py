@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import get_app
-from repro.simmpi.topology import torus_neighbors
+from repro.simmpi.topology import Torus
 from repro.simmpi.machine import BatchedBspMachine
 
 
@@ -26,7 +26,7 @@ class TestVectorisedPaths:
     def test_bsp_full_scale_run(self):
         rng = np.random.default_rng(0)
         rates = rng.uniform(1.2, 2.7, 1920)
-        nb = torus_neighbors((16, 12, 10))
+        nb = Torus((16, 12, 10))
 
         def run():
             m = BatchedBspMachine(rates[None])

@@ -22,9 +22,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.hardware.devices import DeviceMap
-from repro.util.indexing import as_contiguous_slice
+from repro.util.indexing import (
+    Selection,
+    _trusted_view,
+    checked_indices,
+    checked_ranges,
+    checked_slice,
+)
 
 __all__ = ["LinearPowerModel"]
+
+#: The per-module endpoint columns a view selects.
+_COLUMNS = ("p_cpu_max", "p_cpu_min", "p_dram_max", "p_dram_min")
 
 
 @dataclass(frozen=True)
@@ -50,12 +59,10 @@ class LinearPowerModel:
     def __post_init__(self) -> None:
         if self.fmin > self.fmax:
             raise ConfigurationError("fmin must not exceed fmax")
-        arrs = {}
-        n = None
-        for name in ("p_cpu_max", "p_cpu_min", "p_dram_max", "p_dram_min"):
-            a = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            arrs[name] = a
-            n = a.shape[0] if n is None else n
+        arrs = {
+            name: np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            for name in _COLUMNS
+        }
         n = max(a.shape[0] for a in arrs.values())
         for name, a in arrs.items():
             if a.shape[0] == 1 and n > 1:
@@ -89,53 +96,45 @@ class LinearPowerModel:
 
     # -- partitioning (array-first: jobs are index ranges, not lists) ------------
 
+    def _select(self, sel: Selection) -> "LinearPowerModel":
+        """Trusted view: the parent's validated columns, selected."""
+        dm = None if self.device_map is None else self.device_map._select(sel)
+        return _trusted_view(self, sel, _COLUMNS, device_map=dm)
+
     def take_slice(self, start: int, stop: int) -> "LinearPowerModel":
         """Zero-copy model over the contiguous module range ``[start, stop)``.
 
         The endpoint columns are numpy slices sharing the parent's
-        buffers, so partitioning a fleet-sized model across jobs costs
-        nothing per job.
+        buffers and the view re-runs none of the constructor's column
+        scans, so partitioning a fleet-sized model across jobs costs
+        O(1) per job.  A range outside ``[0, n_modules]`` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        if not (0 <= start <= stop <= self.n_modules):
-            raise ConfigurationError(
-                f"slice [{start}, {stop}) out of range for "
-                f"{self.n_modules} modules"
-            )
-        return LinearPowerModel(
-            fmin=self.fmin,
-            fmax=self.fmax,
-            p_cpu_max=self.p_cpu_max[start:stop],
-            p_cpu_min=self.p_cpu_min[start:stop],
-            p_dram_max=self.p_dram_max[start:stop],
-            p_dram_min=self.p_dram_min[start:stop],
-            device_map=(
-                None
-                if self.device_map is None
-                else self.device_map.take_slice(start, stop)
-            ),
-        )
+        return self._select(checked_slice(start, stop, self.n_modules))
 
     def take(self, indices: np.ndarray | list[int]) -> "LinearPowerModel":
         """Model restricted to the given module indices.
 
         Contiguous ascending index sets come back as zero-copy
-        :meth:`take_slice` views; scattered sets are copied.
+        :meth:`take_slice` views; scattered sets are copied.  Either way
+        the parent's validation is trusted, not repeated.  An index
+        outside ``[0, n_modules)`` — negative ones included — raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        sl = as_contiguous_slice(indices)
-        if sl is not None and sl.stop <= self.n_modules:
-            return self.take_slice(sl.start, sl.stop)
-        idx = np.asarray(indices, dtype=int)
-        return LinearPowerModel(
-            fmin=self.fmin,
-            fmax=self.fmax,
-            p_cpu_max=self.p_cpu_max[idx],
-            p_cpu_min=self.p_cpu_min[idx],
-            p_dram_max=self.p_dram_max[idx],
-            p_dram_min=self.p_dram_min[idx],
-            device_map=(
-                None if self.device_map is None else self.device_map.take(idx)
-            ),
-        )
+        return self._select(checked_indices(indices, self.n_modules))
+
+    def take_ranges(self, ranges) -> "LinearPowerModel":
+        """Model over the concatenated module ranges ``[(start, stop), ...]``.
+
+        Adjacent ranges coalesce; a single remaining range is a
+        zero-copy :meth:`take_slice` view, several are one
+        ``np.concatenate`` of range slices per column (and of the device
+        index on a mixed fleet).  The modules, and their order, are
+        those of :meth:`take` over the concatenated ranges, but no index
+        array is built.  A range outside ``[0, n_modules]`` raises
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        return self._select(checked_ranges(ranges, self.n_modules))
 
     # -- Equations (1)-(4) -------------------------------------------------------
 

@@ -39,6 +39,12 @@ from repro.hardware.devices import DeviceMap
 from repro.hardware.microarch import Microarchitecture
 from repro.hardware.module import ModuleArray, OperatingPoint
 from repro.measurement.rapl import RaplMeter
+from repro.util.indexing import (
+    Selection,
+    _trusted_view,
+    checked_indices,
+    checked_slice,
+)
 
 __all__ = [
     "PowerModelTable",
@@ -73,28 +79,25 @@ class PowerModelTable:
         """Number of modules covered."""
         return self.model.n_modules
 
+    def _select(self, sel: Selection) -> "PowerModelTable":
+        return _trusted_view(self, sel, (), model=self.model._select(sel))
+
     def take(self, indices) -> "PowerModelTable":
         """PMT restricted to the given module indices (provenance kept).
 
-        Contiguous ascending index sets return zero-copy views of the
-        endpoint columns (see
-        :meth:`~repro.core.model.LinearPowerModel.take`).
+        A trusted view: contiguous ascending index sets share the
+        endpoint columns' buffers, and nothing is re-validated (see
+        :meth:`~repro.core.model.LinearPowerModel.take`, whose index
+        checks apply).
         """
-        return PowerModelTable(
-            model=self.model.take(indices),
-            kind=self.kind,
-            app_name=self.app_name,
-            test_module=self.test_module,
-        )
+        return self._select(checked_indices(indices, self.n_modules))
 
     def take_slice(self, start: int, stop: int) -> "PowerModelTable":
-        """Zero-copy PMT view of the contiguous range ``[start, stop)``."""
-        return PowerModelTable(
-            model=self.model.take_slice(start, stop),
-            kind=self.kind,
-            app_name=self.app_name,
-            test_module=self.test_module,
-        )
+        """Zero-copy PMT view of the range ``[start, stop)``.
+
+        Only the range is checked; the columns are not re-validated.
+        """
+        return self._select(checked_slice(start, stop, self.n_modules))
 
 
 def calibrate_pmt(

@@ -26,9 +26,17 @@ from repro.cluster.system import System
 from repro.errors import ConfigurationError
 from repro.hardware.module import OperatingPoint
 from repro.measurement.rapl import RaplMeter
-from repro.util.indexing import as_contiguous_slice
+from repro.util.indexing import (
+    Selection,
+    _trusted_view,
+    checked_indices,
+    checked_slice,
+)
 
 __all__ = ["PowerVariationTable", "generate_pvt"]
+
+#: The per-module scale columns a view selects.
+_SCALES = ("scale_cpu_max", "scale_cpu_min", "scale_dram_max", "scale_dram_min")
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,7 @@ class PowerVariationTable:
                 raise ConfigurationError(
                     f"PVT column {name!r} has shape {arr.shape}, expected ({n},)"
                 )
-        for name in (
-            "scale_cpu_max",
-            "scale_cpu_min",
-            "scale_dram_max",
-            "scale_dram_min",
-        ):
+        for name in _SCALES:
             arr = getattr(self, name)
             if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
                 raise ConfigurationError(f"PVT column {name!r} must be positive")
@@ -65,46 +68,28 @@ class PowerVariationTable:
         """Number of modules the table covers."""
         return int(self.scale_cpu_max.shape[0])
 
+    def _select(self, sel: Selection) -> "PowerVariationTable":
+        return _trusted_view(self, sel, _SCALES)
+
     def take(self, indices: np.ndarray | list[int]) -> "PowerVariationTable":
         """PVT restricted to a job's module allocation.
 
         Contiguous ascending allocations (the scheduler's first-fit
         default) come back as zero-copy :meth:`take_slice` views;
-        scattered allocations are fancy-index copies.
+        scattered allocations are fancy-index copies.  The scales are
+        not re-validated; an index outside ``[0, n_modules)`` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        sl = as_contiguous_slice(indices)
-        if sl is not None and sl.stop <= self.n_modules:
-            return self.take_slice(sl.start, sl.stop)
-        idx = np.asarray(indices, dtype=int)
-        return PowerVariationTable(
-            system_name=self.system_name,
-            microbenchmark=self.microbenchmark,
-            scale_cpu_max=self.scale_cpu_max[idx],
-            scale_cpu_min=self.scale_cpu_min[idx],
-            scale_dram_max=self.scale_dram_max[idx],
-            scale_dram_min=self.scale_dram_min[idx],
-        )
+        return self._select(checked_indices(indices, self.n_modules))
 
     def take_slice(self, start: int, stop: int) -> "PowerVariationTable":
         """Zero-copy PVT view of the contiguous module range ``[start, stop)``.
 
         The four scale columns are numpy slices sharing the parent's
-        buffers — partitioning a fleet PVT across jobs allocates
-        nothing.
+        buffers and are not re-validated — partitioning a fleet PVT
+        across jobs allocates nothing.
         """
-        if not (0 <= start <= stop <= self.n_modules):
-            raise ConfigurationError(
-                f"slice [{start}, {stop}) out of range for "
-                f"{self.n_modules} modules"
-            )
-        return PowerVariationTable(
-            system_name=self.system_name,
-            microbenchmark=self.microbenchmark,
-            scale_cpu_max=self.scale_cpu_max[start:stop],
-            scale_cpu_min=self.scale_cpu_min[start:stop],
-            scale_dram_max=self.scale_dram_max[start:stop],
-            scale_dram_min=self.scale_dram_min[start:stop],
-        )
+        return self._select(checked_slice(start, stop, self.n_modules))
 
     # -- persistence (the PVT is generated once at install time) -----------------
 

@@ -39,7 +39,13 @@ from repro.hardware.microarch import (
     register_microarch,
 )
 from repro.hardware.variability import VariationModel
-from repro.util.indexing import as_contiguous_slice
+from repro.util.indexing import (
+    Selection,
+    _trusted_view,
+    as_contiguous_slice,
+    checked_indices,
+    checked_slice,
+)
 
 __all__ = [
     "DeviceType",
@@ -194,17 +200,23 @@ class DeviceMap:
 
     # -- slicing (contiguity-aware, mirrors ModuleVariation) ----------------
 
+    def _select(self, sel: Selection) -> "DeviceMap":
+        return _trusted_view(self, sel, ("index",))
+
     def take(self, indices: np.ndarray | list[int]) -> "DeviceMap":
-        """Map restricted to the given module indices (view when contiguous)."""
-        sl = as_contiguous_slice(indices)
-        if sl is not None:
-            return DeviceMap(self.types, self.index[sl])
-        idx = np.asarray(indices)
-        return DeviceMap(self.types, self.index[idx])
+        """Map restricted to the given module indices (view when contiguous).
+
+        The device index is not rescanned; a module index outside
+        ``[0, n_modules)`` raises :class:`ConfigurationError`.
+        """
+        return self._select(checked_indices(indices, self.n_modules))
 
     def take_slice(self, start: int, stop: int) -> "DeviceMap":
-        """Zero-copy view of the contiguous module range ``[start, stop)``."""
-        return DeviceMap(self.types, self.index[start:stop])
+        """Zero-copy view of the contiguous module range ``[start, stop)``.
+
+        Only the range is checked; the device index is not rescanned.
+        """
+        return self._select(checked_slice(start, stop, self.n_modules))
 
     # -- per-type iteration and per-module parameter gather -----------------
 

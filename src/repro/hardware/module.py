@@ -23,6 +23,7 @@ from repro.hardware.devices import DeviceMap
 from repro.hardware.microarch import Microarchitecture
 from repro.hardware.power_model import PowerSignature
 from repro.hardware.variability import ModuleVariation
+from repro.util.indexing import checked_indices
 
 __all__ = ["ModuleArray", "Module", "CapResolution", "OperatingPoint"]
 
@@ -183,10 +184,13 @@ class ModuleArray:
 
         Contiguous ascending index sets are returned as zero-copy views
         (see :meth:`~repro.hardware.variability.ModuleVariation.take`);
-        scattered sets are fancy-index copies.
+        scattered sets are fancy-index copies.  The index set is checked
+        and classified once for both the variation factors and the
+        device map; only the mixed/single-type dispatch is recomputed.
         """
-        dm = None if self.device_map is None else self.device_map.take(indices)
-        return ModuleArray(self.arch, self.variation.take(indices), dm)
+        sel = checked_indices(indices, self.n_modules)
+        dm = None if self.device_map is None else self.device_map._select(sel)
+        return ModuleArray(self.arch, self.variation._select(sel), dm)
 
     def take_slice(self, start: int, stop: int) -> "ModuleArray":
         """Zero-copy view of the contiguous module range ``[start, stop)``.

@@ -35,9 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.util.indexing import as_contiguous_slice
+from repro.util.indexing import (
+    Selection,
+    _trusted_view,
+    checked_indices,
+    checked_slice,
+)
 
 __all__ = ["VariationModel", "ModuleVariation", "sample_variation"]
+
+#: The per-module factor columns a view selects.
+_FACTORS = ("leak", "dyn", "dram", "perf")
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ class ModuleVariation:
                 raise ConfigurationError(
                     f"variation array {name!r} has shape {arr.shape}, expected ({n},)"
                 )
-        for name in ("leak", "dyn", "dram", "perf"):
+        for name in _FACTORS:
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise ConfigurationError(
@@ -105,45 +113,31 @@ class ModuleVariation:
         """Number of modules covered by these factors."""
         return int(self.leak.shape[0])
 
+    def _select(self, sel: Selection) -> "ModuleVariation":
+        return _trusted_view(self, sel, _FACTORS)
+
     def take(self, indices: np.ndarray | list[int]) -> "ModuleVariation":
         """Variation factors restricted to a subset of module indices.
 
         Contiguous ascending index sets (the common case: scheduler
         first-fit allocations, single-module views) are routed through
-        :meth:`take_slice` and cost nothing — the returned object shares
-        the parent's buffers.  Scattered index sets fall back to a
-        fancy-index copy.
+        the :meth:`take_slice` path and cost nothing — the returned
+        object shares the parent's buffers.  Scattered index sets fall
+        back to a fancy-index copy.  Neither re-validates the factors;
+        an index outside ``[0, n_modules)`` raises
+        :class:`~repro.errors.ConfigurationError`.
         """
-        sl = as_contiguous_slice(indices)
-        if sl is not None and sl.stop <= self.n_modules:
-            return self.take_slice(sl.start, sl.stop)
-        idx = np.asarray(indices, dtype=int)
-        return ModuleVariation(
-            leak=self.leak[idx],
-            dyn=self.dyn[idx],
-            dram=self.dram[idx],
-            perf=self.perf[idx],
-        )
+        return self._select(checked_indices(indices, self.n_modules))
 
     def take_slice(self, start: int, stop: int) -> "ModuleVariation":
         """Contiguous range ``[start, stop)`` of modules, as *views*.
 
-        Unlike :meth:`take` (fancy indexing, which copies), slicing
-        shares the underlying buffers — this is what lets fleet-scale
-        code walk a 200k-module array chunk by chunk without duplicating
-        it.
+        Unlike :meth:`take` on scattered indices (fancy indexing, which
+        copies), slicing shares the underlying buffers and re-runs no
+        validation — this is what lets fleet-scale code walk a
+        200k-module array chunk by chunk without duplicating it.
         """
-        if not (0 <= start <= stop <= self.n_modules):
-            raise ConfigurationError(
-                f"slice [{start}, {stop}) out of range for "
-                f"{self.n_modules} modules"
-            )
-        return ModuleVariation(
-            leak=self.leak[start:stop],
-            dyn=self.dyn[start:stop],
-            dram=self.dram[start:stop],
-            perf=self.perf[start:stop],
-        )
+        return self._select(checked_slice(start, stop, self.n_modules))
 
 
 def _lognormal(rng: np.random.Generator, sigma: float, n: int, clip: float) -> np.ndarray:

@@ -26,10 +26,16 @@ request families cost very different amounts:
 ``admit``/``depart``/``set-budget``
     Membership changes.  The fleet carries a global budget and a set of
     admitted jobs (contiguous module ranges, first-fit); every change
-    re-solves the shared α over the *active* sub-model — a zero-copy
+    re-solves the shared α over the *active* sub-model, built from the
+    sorted job ranges: adjacent ranges coalesce into one zero-copy
     :meth:`LinearPowerModel.take_slice
-    <repro.core.model.LinearPowerModel.take_slice>` where membership is
-    contiguous — with the same kernel, on the sub-model's aggregates.
+    <repro.core.model.LinearPowerModel.take_slice>`, gapped ones into
+    one :meth:`~repro.core.model.LinearPowerModel.take_ranges` gather
+    (a concatenation of range slices per column).  Both views trust the
+    fleet model's validation, so a re-solve rescans no column and builds
+    no index array; the telemetry counters ``service.membership_slice``
+    and ``service.membership_gather`` say which path ran.  The
+    sub-model's aggregates go through the same kernel.
 
 All public methods raise :class:`~repro.service.api.ServiceError` only
 (the daemon maps them onto the wire), and the whole object is guarded by
@@ -70,6 +76,7 @@ from repro.service.api import (
     SweepResult,
     SweepRun,
 )
+from repro.util.indexing import coalesce_ranges
 
 __all__ = ["AllocationService"]
 
@@ -317,16 +324,24 @@ class AllocationService:
             n_modules=model.n_modules,
             allocations=tuple(
                 BudgetAllocation(
-                    budget_w=float(budgets[i]),
-                    feasible=bool(feasible[i]),
-                    alpha=float(alphas[i]) if feasible[i] else 0.0,
-                    raw_alpha=float(raws[i]),
-                    constrained=bool(raws[i] < 1.0),
-                    freq_ghz=float(freqs[i]) if feasible[i] else 0.0,
-                    total_allocated_w=float(totals[i]),
-                    floor_w=float(floors[i]),
+                    budget_w=budget,
+                    feasible=ok,
+                    alpha=alpha if ok else 0.0,
+                    raw_alpha=raw,
+                    constrained=raw < 1.0,
+                    freq_ghz=freq if ok else 0.0,
+                    total_allocated_w=total,
+                    floor_w=floor,
                 )
-                for i in range(budgets.size)
+                for budget, ok, alpha, raw, freq, total, floor in zip(
+                    budgets.tolist(),
+                    feasible.tolist(),
+                    alphas.tolist(),
+                    raws.tolist(),
+                    freqs.tolist(),
+                    totals.tolist(),
+                    floors.tolist(),
+                )
             ),
         )
 
@@ -477,12 +492,17 @@ class AllocationService:
     def _resolve_membership(self, state: _FleetState) -> JobStateResult:
         """The incremental α re-solve over the active sub-model.
 
-        Jobs occupy contiguous ranges, so the sub-model is assembled
-        from zero-copy :meth:`take_slice` views where possible (one
-        :meth:`take` gather otherwise); its aggregates go through the
-        same α-solve kernel the sweeps use — one budget, the fleet's
-        global one, with the scheme's FS derating applied.  No
-        per-module allocation row is built.
+        Jobs occupy contiguous ranges, kept sorted by start, and the
+        sub-model is their
+        :meth:`~repro.core.model.LinearPowerModel.take_ranges`: adjacent
+        ranges (first-fit's steady state) coalesce into one zero-copy
+        slice (``service.membership_slice``); gapped ones become one
+        concatenation of range slices per column
+        (``service.membership_gather``).  Either view trusts the fleet
+        model's validation.  Its aggregates go through the same α-solve
+        kernel the sweeps use — one budget, the fleet's global one, with
+        the scheme's FS derating applied.  No per-module allocation row
+        and no index array is built.
         """
         jobs = tuple(j.job_id for j in state.jobs)
         active = state.active_modules
@@ -498,14 +518,13 @@ class AllocationService:
                 freq_ghz=table.model.fmax,
                 floor_w=0.0,
             )
-        if len(state.jobs) == 1:
-            job = state.jobs[0]
-            submodel = table.model.take_slice(job.start, job.stop)
-        else:
-            indices = np.concatenate(
-                [np.arange(j.start, j.stop) for j in state.jobs]
-            )
-            submodel = table.model.take(indices)
+        spans = coalesce_ranges((j.start, j.stop) for j in state.jobs)
+        submodel = table.model.take_ranges(spans)
+        telemetry.count(
+            "service.membership_slice"
+            if len(spans) == 1
+            else "service.membership_gather"
+        )
         fused_floor = submodel.total_min_w()
         budgets = np.array([state.budget_w])
         if table.fs_actuated:

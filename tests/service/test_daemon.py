@@ -17,10 +17,13 @@ import time
 
 import pytest
 
+import repro.telemetry as telemetry
 from repro.service.api import (
     SCHEMA_VERSION,
     AllocationRequest,
     FleetSpec,
+    JobAdmitRequest,
+    JobDepartRequest,
     ServiceError,
 )
 from repro.service.client import ServiceClient
@@ -217,6 +220,23 @@ class TestTelemetryStream:
         served = dict(last.served)
         assert served.get("ping", 0) >= 1
         assert served.get("allocate", 0) >= 1
+
+
+    def test_membership_path_counters_reach_the_stream(self, server, fleet):
+        """With telemetry on, the telemetry op reports which membership
+        path each re-solve took."""
+        telemetry.enable()
+        try:
+            with ServiceClient(server.address) as client:
+                for job_id in "abc":
+                    client.admit(JobAdmitRequest("f0", job_id, 16))
+                client.depart(JobDepartRequest("f0", "b"))
+                (sample,) = client.telemetry(samples=1, interval_s=0.01)
+        finally:
+            telemetry.disable()
+        counters = dict(sample.counters)
+        assert counters["service.membership_slice"] == 3
+        assert counters["service.membership_gather"] == 1
 
 
 class TestHttpAdapter:

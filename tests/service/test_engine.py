@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from repro.apps import get_app
-from repro.cluster.configs import build_system
+import repro.telemetry as telemetry
+from repro.cluster.configs import build_hetero_system, build_system
 from repro.core.budget import solve_alpha_batched
 from repro.core.pvt import generate_pvt
 from repro.core.schemes import available_schemes, get_scheme
@@ -395,6 +396,67 @@ class TestMembership:
         assert state.alpha == (float(batch.alphas[0]) if feasible else 0.0)
         assert state.freq_ghz == (float(batch.freq_ghz[0]) if feasible else 0.0)
         assert state.floor_w == float(batch.floor_w[0])
+
+    @pytest.mark.parametrize("scheme_name", ["vafsor", "vapcor"])
+    def test_hetero_gathered_alpha_matches_direct_solve(
+        self, service, scheme_name
+    ):
+        """A mixed CPU/GPU fleet: admit a, b and c, depart b.  The two
+        remaining ranges straddle the device types, so the re-solve
+        gathers endpoint columns and the device index; it must equal
+        solve_alpha_batched over ``model.take(indices)`` bit for bit."""
+        counts = (("cpu-ivy-bridge-e5-2697v2", 24), ("gpu-v100-sxm2", 24))
+        service.open_fleet(FleetSpec(fleet_id="hx", seed=SEED, device_counts=counts))
+        for job_id in "abc":
+            service.admit(
+                JobAdmitRequest(fleet_id="hx", job_id=job_id, n_modules=16)
+            )
+        service.depart(JobDepartRequest(fleet_id="hx", job_id="b"))
+        indices = np.concatenate([np.arange(0, 16), np.arange(32, 48)])
+        state = service.set_budget(
+            BudgetUpdateRequest(
+                fleet_id="hx", budget_w=150.0 * indices.size, app="bt",
+                scheme=scheme_name,
+            )
+        )
+        assert state.jobs == ("a", "c")
+        assert state.active_modules == indices.size
+
+        system = build_hetero_system(list(counts), name="ha8k", seed=SEED)
+        scheme = get_scheme(scheme_name)
+        model = scheme.build_pmt(system, get_app("bt")).model
+        sub = model.take(indices)
+        assert not sub.device_map.is_single_type
+        solve_on = state.budget_w
+        if scheme.actuation == "fs":
+            floor = sub.total_min_w()
+            solve_on = state.budget_w * (1.0 - 0.02)
+            if state.budget_w >= floor:
+                solve_on = max(solve_on, floor)
+        batch = solve_alpha_batched(sub, [solve_on], chunk_modules=SERVICE_CHUNK)
+        assert batch.feasible[0]
+        assert state.feasible
+        assert state.alpha == float(batch.alphas[0])
+        assert state.freq_ghz == float(batch.freq_ghz[0])
+        assert state.floor_w == float(batch.floor_w[0])
+
+    def test_membership_path_counters(self, service, fleet):
+        """Adjacent jobs re-solve over one slice, a gapped membership
+        over one gather; the counters say which path ran."""
+        telemetry.enable()
+        try:
+            for job_id in "abc":
+                service.admit(
+                    JobAdmitRequest(fleet_id="f0", job_id=job_id, n_modules=16)
+                )
+            service.depart(JobDepartRequest(fleet_id="f0", job_id="b"))
+            service.set_budget(BudgetUpdateRequest(fleet_id="f0", budget_w=4000.0))
+            counters = telemetry.snapshot()
+        finally:
+            telemetry.disable()
+        assert counters["service.membership_resolve"] == 5
+        assert counters["service.membership_slice"] == 3
+        assert counters["service.membership_gather"] == 2
 
     def test_budget_cut_can_turn_infeasible(self, service, fleet):
         service.admit(JobAdmitRequest(fleet_id="f0", job_id="a", n_modules=N))

@@ -1,31 +1,33 @@
 """End-to-end orchestration: plan → actuate → run → measure.
 
 :func:`run_budgeted_batched` executes the paper's full workflow (Fig 4)
-for a batch of (scheme, budget) configs of one (system, application);
-:func:`run_budgeted` is the one-config case:
+for a batch of configs of one (system, application).  A config is a
+``(scheme, budget)`` pair, or ``(None, None)`` for an uncapped
+reference row:
 
 1. plan — as in :meth:`Scheme.allocate_batched
    <repro.core.schemes.Scheme.allocate_batched>`, build the scheme's PMT
    (PVT + single-module test runs, oracle, or TDP defaults; once per
    ``pmt_kind`` in the batch) and solve for α and the module-level
    allocations (Eq 5–9), returning one
-   :class:`~repro.core.schemes.PowerAllocation` per budget;
-2. actuate — RAPL caps (PC) or a pinned common frequency (FS);
+   :class:`~repro.core.schemes.PowerAllocation` per budget; uncapped
+   rows have no plan;
+2. actuate — RAPL caps (PC), a pinned common frequency (FS), or, for an
+   uncapped row, fmax, the Turbo point or the per-type fmax;
 3. simulate the application on the realised per-module work rates;
 4. measure realised power and collect the Vp/Vf/Vt statistics.
 
-:func:`run_uncapped` provides the unconstrained reference execution the
+:func:`run_budgeted` is the one-config case and :func:`run_uncapped`
+the one-row uncapped case: the unconstrained reference execution the
 paper normalises against ("Cm = No" in Fig 2/3/8).
 
-Simulation routing: budgeted runs go through
-:func:`repro.simmpi.fastpath.simulate_app_batched`, uncapped runs
-through its one-run form :func:`~repro.simmpi.fastpath.simulate_app`.
-BSP-expressible applications (all of the paper's benchmarks) run as
-whole-fleet vectorised array operations with steady-state
-fast-forwarding, which is what makes the 10k–200k-module fleet sweeps
-tractable; any non-BSP communication pattern falls back, explicitly and
-automatically, to the event-driven
-:class:`~repro.simmpi.EventDrivenMachine`.
+Simulation routing: every run goes through
+:func:`repro.simmpi.fastpath.simulate_app_batched`.  BSP-expressible
+applications (all of the paper's benchmarks) run as whole-fleet
+vectorised array operations with steady-state fast-forwarding, which is
+what makes the 10k–200k-module fleet sweeps tractable; any non-BSP
+communication pattern falls back, explicitly and automatically, to the
+event-driven :class:`~repro.simmpi.EventDrivenMachine`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,9 @@ from repro.core.pmmd import InstrumentedApp
 from repro.core.pmt import PowerModelTable
 from repro.core.pvt import PowerVariationTable
 from repro.core.schemes import Scheme, get_scheme
-from repro.errors import InfeasibleBudgetError
+from repro.errors import ConfigurationError, InfeasibleBudgetError
 from repro.hardware.module import ModuleArray, OperatingPoint
-from repro.simmpi.fastpath import simulate_app, simulate_app_batched
+from repro.simmpi.fastpath import simulate_app_batched
 from repro.simmpi.tracing import RankTrace
 from repro.util.stats import worst_case_variation
 
@@ -208,7 +210,8 @@ def run_uncapped(
     n_iters: int | None = None,
     turbo: bool = False,
 ) -> RunResult:
-    """Reference execution with no power management.
+    """Reference execution with no power management: a one-row
+    :func:`run_budgeted_batched` on one tile.
 
     ``turbo=False`` (the default everywhere the evaluation normalises
     against) pins every module at fmax.  ``turbo=True`` lets each module
@@ -216,44 +219,31 @@ def run_uncapped(
     power-hungry workloads, uniform for light ones (see
     :meth:`~repro.hardware.ModuleArray.turbo_frequency`).
     """
-    model, pmmd = _unwrap(app)
-    with telemetry.span("run.uncapped", app=model.name, turbo=turbo):
-        telemetry.count("run.uncapped")
-        truth = _truth_view(system, model)
-        n = truth.n_modules
-        if turbo:
-            eff = truth.turbo_frequency(model.signature)
-            op = OperatingPoint(
-                freq_ghz=eff, duty=np.ones(n), signature=model.signature
-            )
-        elif truth.is_mixed:
-            # Each device type pins at its own fmax — there is no single
-            # fleet-wide clock on a mixed fleet.
-            eff = truth.fmax_by_module()
-            op = OperatingPoint(
-                freq_ghz=eff, duty=np.ones(n), signature=model.signature
-            )
-        else:
-            op = OperatingPoint.uniform(n, system.arch.fmax, model.signature)
-            eff = np.full(n, system.arch.fmax)
-        rates = _work_rates(truth, eff)
-        with telemetry.span("run.simulate"):
-            trace = simulate_app(model, rates, system.arch.fmax, n_iters=n_iters)
-        result = RunResult(
-            app_name=model.name,
-            scheme_name=None,
-            budget_w=None,
-            solution=None,
-            effective_freq_ghz=eff,
-            cpu_power_w=truth.cpu_power_at(op),
-            dram_power_w=truth.dram_power_at(op),
-            cap_met=np.ones(n, dtype=bool),
-            trace=trace,
-        )
-        _record_run(result)
-        if pmmd is not None:
-            pmmd.record(result.makespan_s, result.total_power_w, plan=None)
-        return result
+    (out,) = run_budgeted_batched(
+        system, app, [(None, None)], n_iters=n_iters, turbo=turbo, shard=None
+    )
+    return out
+
+
+def _uncapped_point(
+    system: System, truth: ModuleArray, model: AppModel, turbo: bool
+) -> tuple[OperatingPoint, np.ndarray, np.ndarray]:
+    """Realised ``(op, eff, cpu_power)`` of an unmanaged run: the Turbo
+    point, the per-type fmax on a mixed fleet, or the uniform fmax.
+    Shared by every uncapped row of a batch."""
+    n = truth.n_modules
+    if turbo:
+        eff = truth.turbo_frequency(model.signature)
+        op = OperatingPoint(freq_ghz=eff, duty=np.ones(n), signature=model.signature)
+    elif truth.is_mixed:
+        # Each device type pins at its own fmax — there is no single
+        # fleet-wide clock on a mixed fleet.
+        eff = truth.fmax_by_module()
+        op = OperatingPoint(freq_ghz=eff, duty=np.ones(n), signature=model.signature)
+    else:
+        op = OperatingPoint.uniform(n, system.arch.fmax, model.signature)
+        eff = np.full(n, system.arch.fmax)
+    return op, eff, truth.cpu_power_at(op)
 
 
 def _fs_operating_point(
@@ -412,14 +402,17 @@ def run_budgeted_batched(
     noisy: bool = True,
     fs_guardband_frac: float = 0.02,
     chunk_modules: int | None = None,
+    turbo: bool = False,
     shard="auto",
 ) -> list["RunResult | InfeasibleBudgetError"]:
-    """Run many (scheme, budget) configs of one app in a single batched pass.
+    """Run many configs of one app in a single batched pass.
 
-    ``configs`` is a sequence of ``(scheme_or_name, budget_w)`` pairs.
-    Planning is grouped per scheme (one batched α-solve each, as in
-    :meth:`Scheme.allocate_batched`) on one PMT build per ``pmt_kind``
-    in the batch, actuation stays per config
+    ``configs`` is a sequence of ``(scheme_or_name, budget_w)`` pairs;
+    ``(None, None)`` is an uncapped reference row, actuated at the point
+    :func:`run_uncapped` describes (``turbo`` applies to these rows
+    only).  Planning is grouped per scheme (one batched α-solve each, as
+    in :meth:`Scheme.allocate_batched`) on one PMT build per
+    ``pmt_kind`` in the batch, actuation stays per config
     (the RAPL dither stream is keyed by app/scheme/budget), and all
     simulations execute as one 2-D vectorised pass
     (:func:`~repro.simmpi.fastpath.simulate_app_batched`).
@@ -438,10 +431,17 @@ def run_budgeted_batched(
     the :class:`~repro.errors.InfeasibleBudgetError` its budget raises.
     """
     model, pmmd = _unwrap(app)
-    resolved = [
-        ((get_scheme(s) if isinstance(s, str) else s), float(b))
-        for s, b in configs
-    ]
+    resolved = []
+    for s, b in configs:
+        if (s is None) != (b is None):
+            raise ConfigurationError(
+                "a config is (scheme, budget_w), or (None, None) for an "
+                "uncapped row"
+            )
+        resolved.append(
+            (None, None) if s is None
+            else ((get_scheme(s) if isinstance(s, str) else s), float(b))
+        )
     n_configs = len(resolved)
     if n_configs == 0:
         return []
@@ -460,8 +460,9 @@ def run_budgeted_batched(
         by_scheme: dict[str, list[int]] = {}
         schemes: dict[str, Scheme] = {}
         for i, (scheme, _b) in enumerate(resolved):
-            by_scheme.setdefault(scheme.name, []).append(i)
-            schemes[scheme.name] = scheme
+            if scheme is not None:
+                by_scheme.setdefault(scheme.name, []).append(i)
+                schemes[scheme.name] = scheme
         pmts: dict[str, PowerModelTable] = {}
         for name, idxs in by_scheme.items():
             scheme = schemes[name]
@@ -481,9 +482,19 @@ def run_budgeted_batched(
                 allocations[i] = plan
 
         acts: list = [None] * n_configs
-        fs_points: dict[object, tuple] = {}
-        fs_key: list[object | None] = [None] * n_configs
+        shared_points: dict[object, tuple] = {}
+        row_key: list[object | None] = [None] * n_configs
         for i, (scheme, budget_w) in enumerate(resolved):
+            if scheme is None:
+                # Every uncapped row of the batch shares one point.
+                shared = shared_points.get("uncapped")
+                if shared is None:
+                    shared = shared_points["uncapped"] = _uncapped_point(
+                        system, truth, model, turbo
+                    )
+                acts[i] = (*shared, np.ones(truth.n_modules, dtype=bool))
+                row_key[i] = "uncapped"
+                continue
             plan = allocations[i]
             if isinstance(plan, InfeasibleBudgetError):
                 continue
@@ -505,21 +516,21 @@ def run_budgeted_batched(
                     sol = plan.solution
                     if truth.is_mixed:
                         freqs, key = _fs_mixed_freqs(truth, sol.alpha)
-                        shared = fs_points.get(key)
+                        shared = shared_points.get(key)
                         if shared is None:
-                            shared = fs_points[key] = _fs_operating_point_mixed(
+                            shared = shared_points[key] = _fs_operating_point_mixed(
                                 truth, model, freqs
                             )
                     else:
                         key = float(arch.ladder.quantize_down(sol.freq_ghz))
-                        shared = fs_points.get(key)
+                        shared = shared_points.get(key)
                         if shared is None:
-                            shared = fs_points[key] = _fs_operating_point(
+                            shared = shared_points[key] = _fs_operating_point(
                                 truth, model, key
                             )
                     op, eff, cpu_power = shared
                     acts[i] = (op, eff, cpu_power, cpu_power <= sol.pcpu_w + 1e-9)
-                    fs_key[i] = key
+                    row_key[i] = key
                 else:
                     acts[i] = _actuate_pc(
                         system, truth, model, scheme, plan.solution, budget_w, noisy
@@ -536,7 +547,7 @@ def run_budgeted_batched(
             row: list[int] = []
             unique_rates: list[np.ndarray] = []
             for i in live:
-                key = fs_key[i] if fs_key[i] is not None else ("cfg", i)
+                key = row_key[i] if row_key[i] is not None else ("cfg", i)
                 r = row_of.get(key)
                 if r is None:
                     r = row_of[key] = len(unique_rates)
@@ -575,11 +586,12 @@ def run_budgeted_batched(
                     cpu_power = cpu_power.copy()
                     dram_power = dram_power.copy()
                 taken[c] = True
+                name = None if scheme is None else scheme.name
                 result = RunResult(
                     app_name=model.name,
-                    scheme_name=scheme.name,
+                    scheme_name=name,
                     budget_w=budget_w,
-                    solution=allocations[i].solution,
+                    solution=None if scheme is None else allocations[i].solution,
                     effective_freq_ghz=np.asarray(eff, dtype=float),
                     cpu_power_w=cpu_power,
                     dram_power_w=dram_power,
@@ -588,8 +600,6 @@ def run_budgeted_batched(
                 )
                 _record_run(result)
                 if pmmd is not None:
-                    pmmd.record(
-                        result.makespan_s, result.total_power_w, plan=scheme.name
-                    )
+                    pmmd.record(result.makespan_s, result.total_power_w, plan=name)
                 results[i] = result
         return results

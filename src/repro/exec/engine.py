@@ -1,14 +1,15 @@
 """The experiment execution engine: cached, parallel, deterministic runs.
 
 :class:`ExperimentEngine` sits between the experiments and
-:func:`~repro.core.runner.run_budgeted` / :func:`run_uncapped`:
+:func:`~repro.core.runner.run_budgeted_batched`, the one run entry point:
 
 * every run is addressed by a :class:`~repro.exec.cache.RunKey` and can
   be answered from the persistent :class:`~repro.exec.cache.ResultCache`;
 * :meth:`ExperimentEngine.submit_sweep` runs cache misses sharing a
-  system/fleet/app as one config batch
-  (:func:`~repro.core.runner.run_budgeted_batched`) and fans groups out
-  over a process pool (``jobs`` workers);
+  system/fleet/app as one config batch, uncapped keys included as
+  ``(None, None)`` rows, and fans groups out over a process pool
+  (``jobs`` workers); a lone key is a group of one, and
+  :meth:`ExperimentEngine.run` is a one-key sweep;
 * every dispatch is recorded in :class:`~repro.exec.metrics.RunStats`.
 
 Determinism
@@ -19,10 +20,10 @@ path), restarted per call — a run's output is a pure function of its
 :class:`RunKey`, independent of process, ordering, or what ran before
 it.  That is what makes parallel fan-out bit-identical to sequential
 execution and cached results trustworthy; ``tests/exec/test_engine.py``
-proves it differentially.  As a defensive measure, :func:`execute_key`
-additionally reseeds numpy's *legacy global* generator from the key
-digest, so even a stray ``np.random.*`` draw in future model code would
-be order- and schedule-independent rather than silently racy.
+proves it differentially.  As a defensive measure, every group run
+additionally reseeds numpy's *legacy global* generator from its first
+key's digest, so even a stray ``np.random.*`` draw in future model code
+would be order- and schedule-independent rather than silently racy.
 """
 
 from __future__ import annotations
@@ -45,12 +46,7 @@ from repro.apps.registry import get_app
 from repro.cluster.configs import build_system
 from repro.cluster.system import System
 from repro.core.pvt import PowerVariationTable, generate_pvt
-from repro.core.runner import (
-    RunResult,
-    run_budgeted,
-    run_budgeted_batched,
-    run_uncapped,
-)
+from repro.core.runner import RunResult, run_budgeted_batched
 from repro.errors import InfeasibleBudgetError
 from repro.exec.cache import ResultCache, RunKey
 from repro.exec.metrics import RunStats
@@ -121,47 +117,16 @@ def _pvt_for(spec: _SystemSpec) -> PowerVariationTable:
 
 
 def execute_key(key: RunKey) -> RunResult:
-    """Execute the run a :class:`RunKey` describes (no cache involved).
+    """Execute the run a :class:`RunKey` describes (no cache involved):
+    a group of one.
 
     Raises :class:`InfeasibleBudgetError` for budgets below the fmin
     floor, like :func:`~repro.core.runner.run_budgeted`.
-
-    When telemetry is enabled, everything the run records (spans,
-    timelines, per-module arrays) is scoped to the key's digest prefix —
-    the same identity the result cache uses — so exported traces join
-    back to cached results.
     """
-    # Defensive per-run seeding (see module docstring): nothing in this
-    # package draws from the legacy global generator, but pinning it per
-    # key keeps any future stray draw schedule-independent.
-    digest = key.digest()
-    np.random.seed(int(digest[:8], 16))
-    if not telemetry.enabled():
-        return _execute_key(key)
-    with telemetry.run_scope(digest[:12], key.describe()):
-        with telemetry.span("engine.execute"):
-            return _execute_key(key)
-
-
-def _execute_key(key: RunKey) -> RunResult:
-    spec = _spec(key)
-    system = _system_for(spec)
-    app = get_app(key.app)
-    if key.app_overrides:
-        app = app.with_(**dict(key.app_overrides))
-    if key.scheme is None:
-        return run_uncapped(system, app, n_iters=key.n_iters, turbo=key.turbo)
-    return run_budgeted(
-        system,
-        app,
-        key.scheme,
-        key.budget_w,
-        pvt=_pvt_for(spec),
-        test_module=key.test_module,
-        n_iters=key.n_iters,
-        noisy=key.noisy,
-        fs_guardband_frac=key.fs_guardband_frac,
-    )
+    (out,) = _run_group((key,))
+    if isinstance(out, InfeasibleBudgetError):
+        raise out
+    return out
 
 
 #: Fault-injection hook: with ``REPRO_ENGINE_FAULT=kill`` in the
@@ -240,21 +205,6 @@ def _init_worker(owner, slices, taken) -> None:
         _pin_worker(slices, taken)
 
 
-def _pool_run(
-    key: RunKey, fault: str | None = None
-) -> tuple[str, object, float]:
-    """Worker-side wrapper: never lets an InfeasibleBudgetError cross the
-    process boundary (its multi-argument ``__init__`` does not survive
-    pickling); returns a tagged tuple plus the measured wall time."""
-    _maybe_inject_fault(fault)
-    t0 = perf_counter()
-    try:
-        result = execute_key(key)
-    except InfeasibleBudgetError as exc:
-        return "infeasible", (exc.budget_w, exc.floor_w), perf_counter() - t0
-    return "ok", result, perf_counter() - t0
-
-
 # -- config-batched group execution -------------------------------------------
 
 def _group_signature(key: RunKey) -> tuple:
@@ -268,34 +218,24 @@ def _group_signature(key: RunKey) -> tuple:
         key.noisy,
         key.fs_guardband_frac,
         key.test_module,
+        key.turbo,
     )
 
 
-def _run_group(
-    keys: Sequence[RunKey], shard="auto"
-) -> list[tuple[str, object]]:
-    """Execute one batched group; per-key tagged outcomes, input order.
-
-    The system and PVT come from this process's :func:`_system_for` /
-    :func:`_pvt_for` caches (a pool worker rebuilds them from the key's
-    keyed RNG streams), so the runs are bit-identical to per-key
-    :func:`execute_key` calls in any process.
-
-    ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`
-    unchanged.  It is execution layout only — results, and therefore
-    cache payloads and key digests, do not depend on it, which is why it
-    is *not* part of :func:`_group_signature` or :class:`RunKey`.
-    """
+def _run_batch(
+    keys: Sequence[RunKey], shard
+) -> list[RunResult | InfeasibleBudgetError]:
     key0 = keys[0]
+    # Defensive group-level seeding (see module docstring).
+    np.random.seed(int(key0.digest()[:8], 16))
     spec = _spec(key0)
     system = _system_for(spec)
-    pvt = _pvt_for(spec)
+    # Only budgeted rows plan, so a group of uncapped keys builds no PVT.
+    pvt = _pvt_for(spec) if any(k.scheme is not None for k in keys) else None
     app = get_app(key0.app)
     if key0.app_overrides:
         app = app.with_(**dict(key0.app_overrides))
-    # Defensive group-level seeding, mirroring execute_key.
-    np.random.seed(int(key0.digest()[:8], 16))
-    outs = run_budgeted_batched(
+    return run_budgeted_batched(
         system,
         app,
         [(k.scheme, k.budget_w) for k in keys],
@@ -304,23 +244,56 @@ def _run_group(
         n_iters=key0.n_iters,
         noisy=key0.noisy,
         fs_guardband_frac=key0.fs_guardband_frac,
+        turbo=key0.turbo,
         shard=shard,
     )
-    return [
-        ("infeasible", (out.budget_w, out.floor_w))
-        if isinstance(out, InfeasibleBudgetError)
-        else ("ok", out)
-        for out in outs
-    ]
+
+
+def _run_group(
+    keys: Sequence[RunKey], shard="auto"
+) -> list[RunResult | InfeasibleBudgetError]:
+    """Execute keys sharing a :func:`_group_signature` as one
+    :func:`~repro.core.runner.run_budgeted_batched` pass; per-key
+    outcomes in input order.
+
+    The system and PVT come from this process's :func:`_system_for` /
+    :func:`_pvt_for` caches (a pool worker rebuilds them from the key's
+    keyed RNG streams), so the runs are bit-identical in any process and
+    in any grouping.
+
+    ``shard`` forwards to :func:`~repro.core.runner.run_budgeted_batched`
+    unchanged.  It is execution layout only — results, and therefore
+    cache payloads and key digests, do not depend on it, which is why it
+    is *not* part of :func:`_group_signature` or :class:`RunKey`.  A
+    lone key runs on one tile and, when telemetry is enabled, under a
+    run scope named by its digest prefix — the same identity the result
+    cache uses — so exported traces join back to cached results.
+    """
+    if len(keys) > 1:
+        return _run_batch(keys, shard)
+    if not telemetry.enabled():
+        return _run_batch(keys, None)
+    digest = keys[0].digest()
+    with telemetry.run_scope(digest[:12], keys[0].describe()):
+        with telemetry.span("engine.execute"):
+            return _run_batch(keys, None)
 
 
 def _pool_run_group(
     keys: tuple[RunKey, ...], shard="auto", fault: str | None = None
 ) -> tuple[list[tuple[str, object]], float]:
-    """Worker-side group wrapper: tagged per-key outcomes + group wall."""
+    """Group wrapper for pool and inline runs alike: tagged per-key
+    outcomes plus the group's wall time.  An InfeasibleBudgetError never
+    crosses the process boundary (its multi-argument ``__init__`` does
+    not survive pickling); it travels as its ``(budget, floor)``."""
     _maybe_inject_fault(fault)
     t0 = perf_counter()
-    tagged = _run_group(keys, shard=shard)
+    tagged = [
+        ("infeasible", (out.budget_w, out.floor_w))
+        if isinstance(out, InfeasibleBudgetError)
+        else ("ok", out)
+        for out in _run_group(keys, shard=shard)
+    ]
     return tagged, perf_counter() - t0
 
 
@@ -427,36 +400,8 @@ class ExperimentEngine:
     # -- single runs ---------------------------------------------------------
 
     def run(self, key: RunKey) -> RunResult:
-        """One run through the cache: hit, or execute-and-store."""
-        t0 = perf_counter()
-        if self.cache is not None:
-            try:
-                cached = self.cache.get(key)
-            except InfeasibleBudgetError:
-                self.stats.record(key.describe(), "hit", perf_counter() - t0)
-                raise
-            if cached is not None:
-                self.stats.record(key.describe(), "hit", perf_counter() - t0)
-                return cached
-        try:
-            result = execute_key(key)
-        except InfeasibleBudgetError as exc:
-            if self.cache is not None:
-                self.cache.put_infeasible(key, exc)
-            self.stats.record(
-                key.describe(),
-                "miss" if self.cache is not None else "exec",
-                perf_counter() - t0,
-            )
-            raise
-        if self.cache is not None:
-            self.cache.put(key, result)
-        self.stats.record(
-            key.describe(),
-            "miss" if self.cache is not None else "exec",
-            perf_counter() - t0,
-        )
-        return result
+        """One run through the cache: a one-key :meth:`submit_sweep`."""
+        return self.submit_sweep([key])[0]
 
     # -- sweeps --------------------------------------------------------------
 
@@ -497,45 +442,33 @@ class ExperimentEngine:
         """Run every key, answering from the cache and batching misses per
         system/fleet/app; results come back in input order.
 
-        Pending budgeted keys sharing a :func:`_group_signature` execute
-        as **one** :func:`~repro.core.runner.run_budgeted_batched` pass
-        per group — one fleet build, one PMT per ``pmt_kind``, one
-        batched α-solve per scheme, one 2-D simulation.  Uncapped keys
-        and singleton groups run one at a time through
-        :func:`execute_key`.  With
-        ``jobs > 1`` each group or single key is one pool task, and each
-        worker rebuilds the fleets it needs from their keys
-        (:func:`_system_for`); nothing fleet-sized crosses the process
-        boundary.
+        Pending keys sharing a :func:`_group_signature` execute as
+        **one** :func:`~repro.core.runner.run_budgeted_batched` pass per
+        group — one fleet build, one PMT per ``pmt_kind``, one batched
+        α-solve per scheme, one 2-D simulation; uncapped keys are
+        ``(None, None)`` rows of their group, and a lone key is a group
+        of one (:func:`execute_key`).  With ``jobs > 1`` each group is
+        one pool task, and each worker rebuilds the fleets it needs from
+        their keys (:func:`_system_for`); nothing fleet-sized crosses
+        the process boundary.
 
         Results, cache payloads, key digests, and infeasible semantics
         are bit-identical to running each key alone with :meth:`run`;
         per-key stats record the group wall time amortised over its
-        members.  With ``skip_infeasible=True`` an infeasible budget
-        yields ``None`` in its slot instead of raising (sweeps over
-        feasibility edges, e.g. the uncertainty study).
+        members, and groups of two or more keys are recorded as batches.
+        With ``skip_infeasible=True`` an infeasible budget yields
+        ``None`` in its slot instead of raising (sweeps over feasibility
+        edges, e.g. the uncertainty study).
         """
         results: list[RunResult | None] = [None] * len(keys)
         pending = self._scan_cache(keys, results, skip_infeasible)
         if not pending:
             return results
 
-        # Partition: batched groups (>= 2 budgeted keys sharing a
-        # signature) vs keys that run alone.
         by_sig: dict[tuple, list[tuple[int, RunKey]]] = {}
-        singles: list[tuple[int, RunKey]] = []
         for i, key in pending:
-            if key.scheme is None:
-                singles.append((i, key))
-            else:
-                by_sig.setdefault(_group_signature(key), []).append((i, key))
-        groups: list[list[tuple[int, RunKey]]] = []
-        for members in by_sig.values():
-            if len(members) > 1:
-                groups.append(members)
-            else:
-                singles.extend(members)
-        singles.sort()
+            by_sig.setdefault(_group_signature(key), []).append((i, key))
+        groups = list(by_sig.values())
 
         #: index -> (tag, payload, amortised wall seconds)
         outcome: dict[int, tuple[str, object, float]] = {}
@@ -544,38 +477,22 @@ class ExperimentEngine:
             per_key = wall_s / len(members)
             for (i, _key), (tag, payload) in zip(members, tagged):
                 outcome[i] = (tag, payload, per_key)
-            self.stats.record_batch(len(members), wall_s)
+            if len(members) > 1:
+                self.stats.record_batch(len(members), wall_s)
 
-        n_tasks = len(groups) + len(singles)
-        if self.jobs > 1 and n_tasks > 1:
+        tasks = [tuple(k for _, k in members) for members in groups]
+        if self.jobs > 1 and len(tasks) > 1:
             fault = os.environ.get(_FAULT_ENV)
-            with self._pool(min(self.jobs, n_tasks)) as pool:
-                group_futs = [
-                    pool.submit(
-                        _pool_run_group,
-                        tuple(k for _, k in members),
-                        self.shard,
-                        fault,
-                    )
-                    for members in groups
+            with self._pool(min(self.jobs, len(tasks))) as pool:
+                futs = [
+                    pool.submit(_pool_run_group, task, self.shard, fault)
+                    for task in tasks
                 ]
-                single_futs = [
-                    pool.submit(_pool_run, key, fault) for _, key in singles
-                ]
-                for members, fut in zip(groups, group_futs):
-                    tagged, wall_s = fut.result()
-                    _fold_group(members, tagged, wall_s)
-                for (i, _key), fut in zip(singles, single_futs):
-                    tag, payload, wall_s = fut.result()
-                    outcome[i] = (tag, payload, wall_s)
+                for members, fut in zip(groups, futs):
+                    _fold_group(members, *fut.result())
         else:
-            for members in groups:
-                t0 = perf_counter()
-                tagged = _run_group([k for _, k in members], shard=self.shard)
-                _fold_group(members, tagged, perf_counter() - t0)
-            for i, key in singles:
-                tag, payload, wall_s = _pool_run(key)
-                outcome[i] = (tag, payload, wall_s)
+            for members, task in zip(groups, tasks):
+                _fold_group(members, *_pool_run_group(task, self.shard))
 
         # Fold outcomes back in *pending* order so stats, cache writes,
         # and the first-infeasible raise follow the input order.

@@ -28,12 +28,12 @@ import numpy as np
 
 from repro.apps.registry import get_app
 from repro.cluster.scheduler import JobScheduler
-from repro.cluster.system import System
 from repro.core.pmt import calibrate_pmt, prediction_error
 from repro.core.pvt import PowerVariationTable
 from repro.core.runner import run_budgeted
 from repro.core.test_run import single_module_test_run
-from repro.experiments.common import DEFAULT_SEED, ha8k, ha8k_pvt
+from repro.exec import get_engine
+from repro.experiments.common import ha8k, ha8k_pvt, ha8k_run_key
 from repro.hardware.microarch import IVY_BRIDGE_E5_2697V2
 from repro.util.tables import render_table
 
@@ -124,27 +124,21 @@ class DutyModelAblation:
     speedup_linear: float
 
 
-def _system_with_exponent(exponent: float, n_modules: int, seed: int) -> System:
-    arch = IVY_BRIDGE_E5_2697V2.with_(subfmin_exponent=exponent)
-    return System.create(
-        "ha8k", arch, n_modules, procs_per_node=2, meter_kind="rapl", seed=seed
-    )
-
-
 def ablate_duty_model(
     n_modules: int = 512, app_name: str = "bt", cm_w: int = 50
 ) -> DutyModelAblation:
     """Compare the Naive cliff with super-linear vs linear duty penalty."""
-    from repro.core.pvt import generate_pvt
-
-    app = get_app(app_name)
     budget = float(cm_w) * n_modules
     speedups = {}
     for label, exponent in (("superlinear", IVY_BRIDGE_E5_2697V2.subfmin_exponent), ("linear", 1.0)):
-        system = _system_with_exponent(exponent, n_modules, DEFAULT_SEED)
-        pvt = generate_pvt(system)
-        naive = run_budgeted(system, app, "naive", budget, pvt=pvt, n_iters=30)
-        vafs = run_budgeted(system, app, "vafs", budget, pvt=pvt, n_iters=30)
+        naive, vafs = get_engine().submit_sweep([
+            ha8k_run_key(
+                app_name, scheme, budget, n_modules=n_modules, n_iters=30,
+                arch_base=IVY_BRIDGE_E5_2697V2.name,
+                arch_overrides=(("subfmin_exponent", exponent),),
+            )
+            for scheme in ("naive", "vafs")
+        ])
         speedups[label] = vafs.speedup_over(naive)
     return DutyModelAblation(
         app=app_name,
@@ -179,18 +173,19 @@ def ablate_calibration_module(
     n_samples: int = 24,
 ) -> CalibrationLottery:
     """Sweep the test module and record the induced VaFs spread."""
-    system = ha8k(n_modules)
-    pvt = ha8k_pvt(n_modules)
-    app = get_app(app_name)
     budget = float(cm_w) * n_modules
-    rng = system.rng.rng("ablation/calibration-lottery")
+    rng = ha8k(n_modules).rng.rng("ablation/calibration-lottery")
     modules = rng.choice(n_modules, size=n_samples, replace=False)
-    naive = run_budgeted(system, app, "naive", budget, pvt=pvt, n_iters=20)
-    speedups, overshoots = [], []
-    for k in modules:
-        r = run_budgeted(
-            system, app, "vafs", budget, pvt=pvt, n_iters=20, test_module=int(k)
+    naive, *runs = get_engine().submit_sweep([
+        ha8k_run_key(
+            app_name, scheme, budget, n_modules=n_modules, n_iters=20,
+            test_module=test_module,
         )
+        for scheme, test_module in [("naive", 0)]
+        + [("vafs", int(k)) for k in modules]
+    ])
+    speedups, overshoots = [], []
+    for r in runs:
         speedups.append(r.speedup_over(naive))
         overshoots.append(r.total_power_w / budget - 1.0)
     overshoots = np.asarray(overshoots)

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from repro.apps.registry import get_app
 from repro.cluster.system import System
 from repro.core.pvt import generate_pvt
-from repro.core.runner import run_budgeted
+from repro.core.runner import run_budgeted_batched
+from repro.errors import InfeasibleBudgetError
 from repro.experiments.common import DEFAULT_SEED
 from repro.hardware.binning import frequency_bin, power_bin, sample_die_population
 from repro.hardware.microarch import IVY_BRIDGE_E5_2697V2
@@ -55,8 +56,13 @@ def _speedup_on(variation, tag: str, n: int, n_iters: int) -> float:
     )
     pvt = generate_pvt(system)
     budget = 65.0 * n
-    pc = run_budgeted(system, app, "pc", budget, pvt=pvt, n_iters=n_iters)
-    vafs = run_budgeted(system, app, "vafs", budget, pvt=pvt, n_iters=n_iters)
+    outs = run_budgeted_batched(
+        system, app, [("pc", budget), ("vafs", budget)], pvt=pvt, n_iters=n_iters
+    )
+    for out in outs:
+        if isinstance(out, InfeasibleBudgetError):
+            raise out
+    pc, vafs = outs
     return vafs.speedup_over(pc)
 
 

@@ -61,9 +61,11 @@ def ha8k_run_key(
     n_modules: int = 1920,
     n_iters: int | None = None,
     seed: int = DEFAULT_SEED,
+    **knobs,
 ) -> RunKey:
     """A :class:`RunKey` on the HA8K evaluation system (the sweeps'
-    common case: default seed, default knobs)."""
+    common case: default seed, default knobs); ``knobs`` sets any other
+    :class:`RunKey` field."""
     return RunKey(
         system="ha8k",
         n_modules=n_modules,
@@ -72,6 +74,7 @@ def ha8k_run_key(
         scheme=scheme,
         budget_w=budget_w,
         n_iters=n_iters,
+        **knobs,
     )
 
 

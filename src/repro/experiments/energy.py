@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.apps.registry import get_app
-from repro.core.runner import run_budgeted, run_uncapped
+from repro.core.runner import RunResult, run_budgeted_batched
 from repro.errors import InfeasibleBudgetError
 from repro.experiments.common import ha8k, ha8k_pvt
 from repro.util.tables import render_table
@@ -54,34 +54,29 @@ def run_energy(
     pvt = ha8k_pvt(1920).take(range(n_modules))
     app = get_app(app_name)
 
-    points: list[EnergyPoint] = []
-    base = run_uncapped(system, app, n_iters=n_iters)
-    points.append(
-        EnergyPoint(
-            cm_w=None,
-            makespan_s=base.makespan_s,
-            avg_power_kw=base.total_power_w / 1e3,
-            energy_mj=base.total_power_w * base.makespan_s / 1e6,
-            edp=base.total_power_w * base.makespan_s**2 / 1e6,
-        )
+    # The uncapped reference is the first row of the one batched call.
+    outs = run_budgeted_batched(
+        system,
+        app,
+        [(None, None)] + [("vafs", cm * n_modules) for cm in cm_grid],
+        pvt=pvt,
+        n_iters=n_iters,
     )
-    for cm in cm_grid:
-        try:
-            r = run_budgeted(
-                system, app, "vafs", cm * n_modules, pvt=pvt, n_iters=n_iters
-            )
-        except InfeasibleBudgetError:
-            continue
-        points.append(
-            EnergyPoint(
-                cm_w=cm,
-                makespan_s=r.makespan_s,
-                avg_power_kw=r.total_power_w / 1e3,
-                energy_mj=r.total_power_w * r.makespan_s / 1e6,
-                edp=r.total_power_w * r.makespan_s**2 / 1e6,
-            )
-        )
-    return points
+    return [
+        _point(cm, r)
+        for cm, r in zip((None, *cm_grid), outs)
+        if not isinstance(r, InfeasibleBudgetError)
+    ]
+
+
+def _point(cm_w: float | None, r: RunResult) -> EnergyPoint:
+    return EnergyPoint(
+        cm_w=cm_w,
+        makespan_s=r.makespan_s,
+        avg_power_kw=r.total_power_w / 1e3,
+        energy_mj=r.total_power_w * r.makespan_s / 1e6,
+        edp=r.total_power_w * r.makespan_s**2 / 1e6,
+    )
 
 
 def energy_optimal(points: list[EnergyPoint]) -> EnergyPoint:

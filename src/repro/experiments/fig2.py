@@ -34,8 +34,8 @@ from repro.cluster.system import System
 from repro.control.rapl_cap import RaplCapController
 from repro.core.budget import solve_alpha
 from repro.core.model import LinearPowerModel
-from repro.core.runner import run_uncapped
-from repro.experiments.common import ha8k
+from repro.exec import get_engine
+from repro.experiments.common import ha8k, ha8k_run_key
 from repro.hardware.module import ModuleArray
 from repro.util.stats import VariationSummary, variation_summary, worst_case_variation
 from repro.util.tables import render_table
@@ -173,9 +173,12 @@ def run_fig2(n_modules: int = 1920, n_iters: int | None = None) -> Fig2Result:
     system = ha8k(n_modules)
     panels: dict[str, Fig2PowerPanel] = {}
     points: dict[str, list[Fig2CapPoint]] = {}
-    for name, cms in CM_GRID.items():
+    bases = get_engine().submit_sweep([
+        ha8k_run_key(name, None, None, n_modules=n_modules, n_iters=n_iters)
+        for name in CM_GRID
+    ])
+    for (name, cms), base in zip(CM_GRID.items(), bases):
         app = get_app(name)
-        base = run_uncapped(system, app, n_iters=n_iters)
         panels[name] = Fig2PowerPanel(
             app=name,
             cpu=variation_summary(base.cpu_power_w),

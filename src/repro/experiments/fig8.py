@@ -21,9 +21,9 @@ import numpy as np
 
 from repro.apps.registry import get_app
 from repro.core.budget import solve_alpha
-from repro.core.runner import run_budgeted, run_uncapped
 from repro.core.schemes import get_scheme
-from repro.experiments.common import ha8k, ha8k_pvt
+from repro.exec import get_engine
+from repro.experiments.common import ha8k, ha8k_pvt, ha8k_run_key
 from repro.experiments.fig3 import OS_NOISE_FRAC
 from repro.util.stats import worst_case_variation
 from repro.util.tables import render_table
@@ -79,17 +79,21 @@ class Fig8Result:
 
 
 def _panel_i(n_modules: int, n_iters: int | None) -> dict[str, list[Fig8PowerPerfPoint]]:
-    system = ha8k(n_modules)
-    pvt = ha8k_pvt(n_modules)
+    # Per app, the uncapped base and its VaFs points are one batched group.
+    runs = iter(get_engine().submit_sweep([
+        ha8k_run_key(
+            app_name, scheme, budget_w, n_modules=n_modules, n_iters=n_iters
+        )
+        for app_name, cms in CM_GRID_I.items()
+        for scheme, budget_w in [(None, None)]
+        + [("vafs", float(cm) * n_modules) for cm in cms]
+    ]))
     out: dict[str, list[Fig8PowerPerfPoint]] = {}
     for app_name, cms in CM_GRID_I.items():
-        app = get_app(app_name)
-        base = run_uncapped(system, app, n_iters=n_iters)
+        base = next(runs)
         pts = []
         for cm in cms:
-            r = run_budgeted(
-                system, app, "vafs", float(cm) * n_modules, pvt=pvt, n_iters=n_iters
-            )
+            r = next(runs)
             norm = r.trace.total_s / base.makespan_s
             pts.append(
                 Fig8PowerPerfPoint(

@@ -26,10 +26,11 @@ superstep suffices.  This module provides that fast path:
   to per-rank generators on the :class:`EventDrivenMachine`, the
   independent reference the differential suite
   (``tests/simmpi/test_fastpath_differential.py``) checks against;
-* :func:`simulate_app` — the dispatch :mod:`repro.core.runner` uses:
-  BSP-expressible applications (``comm.kind`` of ``"none"``,
-  ``"neighbor"`` or ``"allreduce"``) take the vectorised path, anything
-  else (the ``"pipeline"`` kind) falls back to the event-driven machine.
+* :func:`simulate_app_batched` — the dispatch :mod:`repro.core.runner`
+  uses for every run: BSP-expressible applications (``comm.kind`` of
+  ``"none"``, ``"neighbor"`` or ``"allreduce"``) take the vectorised
+  path, anything else (the ``"pipeline"`` kind) falls back to the
+  event-driven machine.  :func:`simulate_app` is its one-row case.
 
 Equivalence contract
 --------------------
@@ -1072,35 +1073,17 @@ def simulate_app(
     bandwidth_gbps: float = 5.0,
     work_imbalance: np.ndarray | None = None,
 ) -> RankTrace:
-    """Simulate an application, automatically picking the fastest exact path.
-
-    BSP-expressible communication runs as whole-fleet array operations
-    (:func:`run_fast`, a one-row batch); anything else falls back to the
-    event-driven machine.  :mod:`repro.core.runner` uses it for uncapped
-    reference runs and :func:`simulate_app_batched` for budgeted ones.
-    """
-    rates = np.asarray(rates_ghz, dtype=float)
-    iters = int(app.default_iters if n_iters is None else n_iters)
-    if iters <= 0:
-        raise ConfigurationError("n_iters must be positive")
-    n_ranks = int(rates.shape[0]) if rates.ndim == 1 else 0
-    if is_bsp_expressible(app):
-        telemetry.count("sim.route.fast")
-        program = bsp_app_program(app, n_ranks or 1, fmax_ghz, iters, work_imbalance)
-        return run_fast(
-            program, rates, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
-        )
-    telemetry.count("sim.route.event")
-    machine = EventDrivenMachine(
-        rates, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
-    )
-    machine.observer = telemetry.timeline("eventsim")
-    with telemetry.span(
-        "sim.run_event", ranks=machine.n_ranks, comm=app.comm.kind
-    ):
-        return machine.run(
-            event_app_program(app, machine.n_ranks, fmax_ghz, iters, work_imbalance)
-        )
+    """Simulate an application for one rate vector: a one-row
+    :func:`simulate_app_batched` on one tile."""
+    return simulate_app_batched(
+        app,
+        np.asarray(rates_ghz, dtype=float)[None],
+        fmax_ghz,
+        n_iters=n_iters,
+        latency_s=latency_s,
+        bandwidth_gbps=bandwidth_gbps,
+        work_imbalance=work_imbalance,
+    )[0]
 
 
 def simulate_app_batched(
@@ -1114,19 +1097,18 @@ def simulate_app_batched(
     work_imbalance: np.ndarray | None = None,
     shard: ShardPlan | ShardSpec | str | None = None,
 ) -> list[RankTrace]:
-    """Simulate one application under many rate configurations at once.
+    """Simulate one application under many rate configurations at once,
+    picking the fastest exact path.
 
     ``rates_ghz`` has shape ``(n_configs, n_ranks)``.  BSP-expressible
-    apps run as a single 2-D pass (:func:`run_fast_batched`); the
-    program is built once — :func:`bsp_app_program` is deterministic in
-    its arguments, so the shared program equals what each per-config
-    :func:`simulate_app` call would build.  Non-BSP comm (``"pipeline"``)
-    has genuinely per-rank control flow and falls back to per-config
-    dispatch, which is the sequential path verbatim.
+    apps run as a single 2-D pass (:func:`run_fast_batched`) on a program
+    built once.  Non-BSP comm (``"pipeline"``) has genuinely per-rank
+    control flow and falls back to the event-driven machine, one run per
+    config.
 
     ``shard`` is forwarded to :func:`run_fast_batched` (execution
-    layout only — results are bit-identical either way); the per-config
-    fallback ignores it, as the event-driven machine has nothing to tile.
+    layout only — results are bit-identical either way); the
+    event-driven fallback ignores it, as it has nothing to tile.
     """
     rates = np.asarray(rates_ghz, dtype=float)
     if rates.ndim != 2:
@@ -1145,15 +1127,17 @@ def simulate_app_batched(
             program, rates,
             latency_s=latency_s, bandwidth_gbps=bandwidth_gbps, shard=shard,
         )
-    return [
-        simulate_app(
-            app,
-            rates[c],
-            fmax_ghz,
-            n_iters=iters,
-            latency_s=latency_s,
-            bandwidth_gbps=bandwidth_gbps,
-            work_imbalance=work_imbalance,
+    traces = []
+    for row in rates:
+        telemetry.count("sim.route.event")
+        machine = EventDrivenMachine(
+            row, latency_s=latency_s, bandwidth_gbps=bandwidth_gbps
         )
-        for c in range(rates.shape[0])
-    ]
+        machine.observer = telemetry.timeline("eventsim")
+        with telemetry.span(
+            "sim.run_event", ranks=machine.n_ranks, comm=app.comm.kind
+        ):
+            traces.append(machine.run(event_app_program(
+                app, machine.n_ranks, fmax_ghz, iters, work_imbalance
+            )))
+    return traces

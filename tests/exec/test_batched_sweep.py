@@ -26,7 +26,7 @@ N_MODULES = 96
 N_ITERS = 5
 
 #: Two apps x six schemes x two budgets, plus an uncapped key: exercises
-#: grouping (four batchable groups), the singleton fallback, and scheme
+#: grouping, an uncapped row inside a budgeted group, and scheme
 #: diversity (pc and fs actuation) inside each group.
 SWEEP = [
     RunKey(
@@ -86,10 +86,10 @@ class TestBatchedBitIdentity:
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
         # 2 apps x 2 budgets share (system, fleet, app) per app: the 24
-        # budgeted keys land in 2 groups of 12; the uncapped key falls
-        # back to the per-key path.
+        # budgeted keys land in 2 groups of 12, and the uncapped bt key
+        # is one more row of the bt group.
         assert engine.stats.n_batches == 2
-        assert engine.stats.batched_keys == 24
+        assert engine.stats.batched_keys == 25
 
     def test_batched_pool_equals_sequential(
         self, sequential_reference
@@ -98,7 +98,7 @@ class TestBatchedBitIdentity:
         results = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
-        assert engine.stats.batched_keys == 24
+        assert engine.stats.batched_keys == 25
 
     def test_per_key_run_loop_equals_sweep(self, sequential_reference):
         engine = ExperimentEngine(jobs=1)

@@ -1,7 +1,7 @@
-"""Bench: the experiment engine's cache and fan-out actually pay off.
+"""Bench: the experiment engine's cache actually pays off.
 
-Acceptance criterion for the engine: a warm-cache parallel Fig 7
-regeneration must be measurably faster than the sequential cold path —
+Acceptance criterion for the engine: a warm-cache Fig 7 regeneration
+must be measurably faster than the uncached cold path —
 and bit-identical to it (the identity half is proven exhaustively in
 ``tests/exec/test_engine.py``; here we spot-check while timing).
 """
@@ -14,14 +14,14 @@ from repro.exec import ExperimentEngine
 from repro.experiments.fig7 import run_fig7
 
 
-def test_fig7_warm_cache_parallel_vs_cold_sequential(benchmark, tmp_path):
-    # Cold, sequential, uncached: the pre-engine baseline path.
+def test_fig7_warm_cache_vs_cold_uncached(benchmark, tmp_path):
+    # Cold and uncached: the pre-engine baseline path.
     t0 = perf_counter()
     cold_cells = run_fig7(engine=ExperimentEngine())
     cold_s = perf_counter() - t0
 
-    # Populate the cache (parallel), then measure the warm read-back.
-    engine = ExperimentEngine(jobs=4, cache_dir=tmp_path)
+    # Populate the cache, then measure the warm read-back.
+    engine = ExperimentEngine(cache_dir=tmp_path)
     run_fig7(engine=engine)
     warm_cells = run_once(benchmark, run_fig7, engine=engine)
 
@@ -34,10 +34,10 @@ def test_fig7_warm_cache_parallel_vs_cold_sequential(benchmark, tmp_path):
         assert (warm.app, warm.cm_w) == (cold.app, cold.cm_w)
         assert warm.speedup == cold.speedup
 
-    # ...measurably faster: warm cache must beat cold sequential by 2x+.
+    # ...measurably faster: warm cache must beat cold uncached by 2x+.
     assert warm_s < cold_s / 2, (
         f"warm cache ({warm_s:.2f} s) not measurably faster than "
-        f"cold sequential ({cold_s:.2f} s)"
+        f"cold uncached ({cold_s:.2f} s)"
     )
     print(f"\ncold sequential {cold_s:.2f} s -> warm cache {warm_s:.2f} s "
           f"({cold_s / warm_s:.1f}x)")

@@ -341,8 +341,8 @@ def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     # Identity leg (doubles as warm-up): both paths populate a cache,
     # which must agree file-by-file, entry-by-entry.
     seq_dir, bat_dir = tmp_path / "seq", tmp_path / "bat"
-    _run_per_key(ExperimentEngine(jobs=1, cache_dir=seq_dir), keys)
-    bat_engine = ExperimentEngine(jobs=1, cache_dir=bat_dir)
+    _run_per_key(ExperimentEngine(cache_dir=seq_dir), keys)
+    bat_engine = ExperimentEngine(cache_dir=bat_dir)
     bat_engine.submit_sweep(keys)
     assert bat_engine.stats.n_batches == 1
     assert bat_engine.stats.batched_keys == SWEEP_BUDGETS
@@ -360,7 +360,7 @@ def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     walls: dict[bool, list[float]] = {False: [], True: []}
     for _ in range(SWEEP_REPEATS):
         for batch in (False, True):
-            engine = ExperimentEngine(jobs=1)
+            engine = ExperimentEngine()
             t0 = perf_counter()
             if batch:
                 engine.submit_sweep(keys)
@@ -371,7 +371,7 @@ def test_batched_sweep_speedup_and_bit_identity(benchmark, tmp_path):
     # One representative batched run under the benchmark timer.
     run_once(
         benchmark,
-        lambda: ExperimentEngine(jobs=1).submit_sweep(keys),
+        lambda: ExperimentEngine().submit_sweep(keys),
     )
 
     seq_s, bat_s = min(walls[False]), min(walls[True])

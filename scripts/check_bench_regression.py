@@ -266,11 +266,11 @@ def _fresh_sweep_speedup() -> float:
         )
         for cm in np.linspace(lo, hi, SWEEP_BUDGETS)
     ]
-    ExperimentEngine(jobs=1).submit_sweep(keys)  # warm
+    ExperimentEngine().submit_sweep(keys)  # warm
     walls: dict[bool, list[float]] = {False: [], True: []}
     for _ in range(REPEATS):
         for batch in (False, True):
-            engine = ExperimentEngine(jobs=1)
+            engine = ExperimentEngine()
             t0 = perf_counter()
             if batch:
                 engine.submit_sweep(keys)

@@ -4,7 +4,7 @@ Lists and runs the paper's tables/figures and the ablation studies::
 
     python -m repro list
     python -m repro schemes
-    python -m repro fig7 --jobs 4
+    python -m repro fig7 --no-cache
     python -m repro table4 --modules 512
     python -m repro all --stats
     python -m repro fleet --telemetry
@@ -15,13 +15,14 @@ Lists and runs the paper's tables/figures and the ablation studies::
     python -m repro trace traces/fleet.jsonl
 
 Sweep experiments route through the execution engine
-(:mod:`repro.exec`): ``--jobs`` fans cache misses out over a process
-pool, ``--cache-dir``/``--no-cache`` control the persistent run cache,
-and ``--stats`` prints per-run observability afterwards.  Cache misses
-sharing a system/fleet/app run as one vectorised config batch, and
-each worker rebuilds the fleets it needs from their keys.  Engine results are
-bit-identical regardless of ``--jobs`` and cache state (see
-``tests/exec/``), so the flags trade time, never accuracy.
+(:mod:`repro.exec`), which runs everything in this process:
+``--cache-dir``/``--no-cache`` control the persistent run cache, and
+``--stats`` prints per-run observability afterwards.  Cache misses
+sharing a system/fleet/app run as one vectorised config batch, whose
+simulation plane ``--shard-ranks``/``--shard-workers`` tile over
+threads.  Engine results are bit-identical regardless of cache state
+and tiling (see ``tests/exec/``), so the flags trade time, never
+accuracy.
 ``repro stats <experiment>`` runs one experiment with telemetry on and
 reports the batching/amortisation counters.
 
@@ -119,15 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="for 'trace': a telemetry .jsonl sink to render, or an "
         "experiment name to run with telemetry enabled; for 'stats': "
         "the experiment to profile",
-    )
-    parser.add_argument(
-        "-j",
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for sweep fan-out (default: 1, sequential; "
-        "0 = one per effective CPU; results are bit-identical at any value)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -263,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_engine(args: argparse.Namespace):
     """Install the process-global engine from the parsed flags."""
     return engine_mod.configure(
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         shard=args.shard,
@@ -475,7 +466,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             port=args.port,
             http_port=args.http_port,
             fleets=tuple(args.fleet or ()),
-            jobs=args.jobs,
             max_pending=args.max_pending,
         )
     except ServiceError as exc:
@@ -555,8 +545,8 @@ def _format_cpulist(cpus: tuple[int, ...]) -> str:
 
 
 def _run_topo() -> int:
-    """``repro topo``: print the probed CPU/NUMA topology and the rule
-    that places engine pool workers on it."""
+    """``repro topo``: print the probed CPU/NUMA topology and the
+    effective CPU count the shard thread defaults derive from."""
     from repro.util.topology import effective_cpu_count, probe_topology
 
     topo = probe_topology()
@@ -571,13 +561,7 @@ def _run_topo() -> int:
             title=f"topology (source: {topo.source})",
         )
     )
-    pin = (
-        "each --jobs > 1 worker pinned to one node-major CPU slice"
-        if engine_mod.pins_workers(2)
-        else "unsupported on this platform"
-    )
     print(f"effective CPUs: {effective_cpu_count()}")
-    print(f"worker pinning: {pin}")
     return 0
 
 

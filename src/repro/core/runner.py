@@ -58,6 +58,7 @@ __all__ = [
     "run_budgeted",
     "run_budgeted_batched",
     "run_uncapped",
+    "uncapped_power_w",
 ]
 
 #: Relative tolerance for the :attr:`RunResult.within_budget` check.
@@ -244,6 +245,22 @@ def _uncapped_point(
         op = OperatingPoint.uniform(n, system.arch.fmax, model.signature)
         eff = np.full(n, system.arch.fmax)
     return op, eff, truth.cpu_power_at(op)
+
+
+def uncapped_power_w(
+    system: System, app: AppModel | InstrumentedApp, *, turbo: bool = False
+) -> float:
+    """Realised total power of :func:`run_uncapped`, without simulating.
+
+    Power depends only on the uncapped operating point
+    (:func:`_uncapped_point`), never on the simulated timeline, so this
+    equals ``run_uncapped(system, app, turbo=turbo).total_power_w`` bit
+    for bit.
+    """
+    model, _ = _unwrap(app)
+    truth = _truth_view(system, model)
+    op, _eff, cpu_power = _uncapped_point(system, truth, model, turbo)
+    return float((cpu_power + truth.dram_power_at(op)).sum())
 
 
 def _fs_operating_point(

@@ -1,12 +1,13 @@
-"""Experiment execution engine: persistent run cache + parallel fan-out.
+"""Experiment execution engine: persistent run cache + batched sweeps.
 
 The sweep experiments describe each managed run as a
 :class:`~repro.exec.cache.RunKey` and hand batches of keys to an
 :class:`~repro.exec.engine.ExperimentEngine`, which answers from a
-content-addressed on-disk cache where it can and fans the rest out over
-a process pool.  Runs are deterministic functions of their key (see
-:mod:`repro.exec.engine`), so parallel, sequential, and cached results
-are bit-identical — `tests/exec/` holds the differential proof.
+content-addressed on-disk cache where it can and runs the rest as
+batched groups in the calling process.  Runs are deterministic
+functions of their key (see :mod:`repro.exec.engine`), so batched,
+per-key, and cached results are bit-identical — `tests/exec/` holds the
+differential proof.
 """
 
 from repro.exec.cache import (
@@ -20,7 +21,6 @@ from repro.exec.engine import (
     configure,
     execute_key,
     get_engine,
-    pins_workers,
     reset,
 )
 from repro.exec.metrics import BatchRecord, RunRecord, RunStats
@@ -38,7 +38,6 @@ __all__ = [
     "configure",
     "execute_key",
     "get_engine",
-    "pins_workers",
     "reset",
     "BatchRecord",
     "RunRecord",

@@ -11,7 +11,7 @@ result can stand in for a live run.
 
 Entries are single ``.npz`` files named by the SHA-256 digest of the
 key's canonical JSON (plus :data:`CACHE_SCHEMA_VERSION`), written
-atomically (temp file + ``os.replace``) so concurrent workers can never
+atomically (temp file + ``os.replace``) so concurrent processes can never
 observe a torn entry.  An entry torn or corrupted some other way (a
 truncated file, a flipped byte that fails a member's CRC-32, a header
 the reader does not accept) reads as a miss, so the run executes again

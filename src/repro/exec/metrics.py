@@ -74,11 +74,6 @@ class RunStats:
         telemetry.observe("engine.batch_size", rec.n_keys)
         telemetry.observe("engine.batch_amortized_wall_s", rec.amortized_wall_s)
 
-    def merge(self, other: "RunStats") -> None:
-        """Fold another stats object (e.g. from a worker batch) into this one."""
-        self.records.extend(other.records)
-        self.batches.extend(other.batches)
-
     # -- counters ------------------------------------------------------------
 
     @property

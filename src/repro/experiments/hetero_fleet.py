@@ -35,7 +35,7 @@ import numpy as np
 import repro.telemetry as telemetry
 from repro.apps import get_app
 from repro.cluster.configs import build_hetero_system
-from repro.core.runner import run_budgeted_batched, run_uncapped
+from repro.core.runner import run_budgeted_batched, uncapped_power_w
 from repro.exec import get_engine
 from repro.experiments.common import DEFAULT_SEED
 from repro.service.api import AllocationRequest
@@ -130,7 +130,9 @@ def run_hetero_point(
         model = get_app(app)
         fmax_per_module = system.modules.fmax_by_module()
 
-        base = run_uncapped(system, model, n_iters=n_iters)
+        # The uncapped draw needs no simulation: power depends only on
+        # the per-type fmax operating point.
+        uncapped_w = uncapped_power_w(system, model)
         # The global budget is relative to the uncapped draw, so the
         # typed requests are built only now — same shared
         # AllocationRequest.build path as the CLI and the service wire
@@ -140,7 +142,7 @@ def run_hetero_point(
                 fleet_id=f"hetero-{n_modules}",
                 app=app,
                 scheme=scheme,
-                budgets_w=[budget_frac * base.total_power_w],
+                budgets_w=[budget_frac * uncapped_w],
                 noisy=False,
             )
             for scheme in HETERO_SCHEMES
@@ -167,7 +169,7 @@ def run_hetero_point(
             n_gpu=n_gpu,
             app=app,
             budget_kw=budget_w / 1e3,
-            uncapped_kw=base.total_power_w / 1e3,
+            uncapped_kw=uncapped_w / 1e3,
             vf_norm={
                 s: worst_case_variation(r.effective_freq_ghz / fmax_per_module)
                 for s, r in runs.items()

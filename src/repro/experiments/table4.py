@@ -60,7 +60,7 @@ def _true_model(system, app) -> LinearPowerModel:
 
 
 def _classify_app(args: tuple[str, int]) -> tuple[str, dict[int, str]]:
-    """Classify one application's whole row (picklable fan-out unit)."""
+    """Classify one application's whole row (one ``engine.map`` item)."""
     name, n_modules = args
     model = _true_model(ha8k(n_modules), get_app(name))
     # One batched pass classifies the whole row: the model's floor and

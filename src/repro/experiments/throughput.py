@@ -57,9 +57,8 @@ class ThroughputPoint:
 def _run_schedule(
     args: tuple[int, int, float, float, str],
 ) -> tuple[float, float, float]:
-    """One (load, admission-policy) scheduling run (picklable fan-out
-    unit) on the cached HA8K system/PVT, which a pool worker rebuilds
-    bit-identically from its keyed RNG streams."""
+    """One (load, admission-policy) scheduling run (one ``engine.map``
+    item) on the cached HA8K system/PVT."""
     n_modules, n_jobs, ia, cm_w, admission = args
     base, base_pvt = ha8k(1920), ha8k_pvt(1920)
     res = _schedule(base, base_pvt, n_modules, n_jobs, ia, cm_w, admission)

@@ -42,8 +42,8 @@ previous version's requests for one deprecation release.
 
 Errors are data too: :class:`ServiceError` carries a stable ``code``, a
 human message, and a ``retryable`` flag (the 429-style contract —
-``overloaded``/``draining``/``worker-crashed`` are safe to retry,
-``bad-request``/``unknown-*`` are not), and round-trips through
+``overloaded``/``draining`` are safe to retry, ``bad-request``/
+``unknown-*`` are not), and round-trips through
 :meth:`ServiceError.to_wire` / :meth:`ServiceError.from_wire`.
 """
 
@@ -103,6 +103,8 @@ ERROR_HTTP_STATUS = {
     "duplicate": 409,
     "overloaded": 429,
     "draining": 503,
+    # Schema v1 keeps the code; sweeps run in the daemon's process, so
+    # no server of this build sends it.
     "worker-crashed": 503,
     "timeout": 504,
     "internal": 500,

@@ -7,8 +7,8 @@ method sends one typed request and returns the typed result; every
 failure — wire errors the server replied with, timeouts, a dropped
 connection — surfaces as a :class:`~repro.service.api.ServiceError`
 whose ``retryable`` flag tells the caller whether backing off and
-retrying can help (``overloaded``/``draining``/``worker-crashed``/
-``timeout``/``connection-lost``) or the request itself is wrong.
+retrying can help (``overloaded``/``draining``/``timeout``/
+``connection-lost``) or the request itself is wrong.
 
 The client is thread-safe (one request/reply exchange at a time under a
 lock) and a context manager::

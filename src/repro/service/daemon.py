@@ -27,8 +27,7 @@ request) stops the listeners, answers new requests with a retryable
 ``draining`` error, waits for in-flight work, then forgets every
 hosted fleet before exiting.  The daemon holds no state outside its
 own process but its socket file, so a killed daemon leaves nothing else
-to reclaim, and sweep pools start from a forkserver, so its threads
-never fork.
+to reclaim, and sweeps run on its handler threads, so it never forks.
 
 :func:`serve` is the blocking entry point behind ``repro serve``;
 :class:`BackgroundServer` hosts the same daemon on a worker thread for
@@ -48,6 +47,7 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.telemetry as telemetry
+from repro.exec.engine import _warn_jobs
 from repro.service.api import (
     ERROR_HTTP_STATUS,
     SCHEMA_VERSION,
@@ -414,7 +414,7 @@ def serve(
     port: int | None = None,
     http_port: int | None = None,
     fleets: tuple[str, ...] = (),
-    jobs: int = 1,
+    jobs: int | None = None,
     max_pending: int = 64,
     workers: int = 1,
     quiet: bool = False,
@@ -424,13 +424,16 @@ def serve(
     This is ``repro serve``.  ``fleets`` pre-opens fleets from CLI
     shorthand specs (``system:n_modules[:seed]``) so the daemon comes up
     hot; with no listener configured a unix socket is created at
-    :func:`default_socket_path`.
+    :func:`default_socket_path`.  ``jobs`` is deprecated and ignored,
+    as for :class:`~repro.exec.engine.ExperimentEngine`: sweeps run in
+    the daemon's process.
     """
     from repro.service.api import FleetSpec
 
+    _warn_jobs(jobs)
     if socket_path is None and port is None and http_port is None:
         socket_path = default_socket_path()
-    service = AllocationService(jobs=jobs)
+    service = AllocationService()
     daemon = ServiceDaemon(
         service,
         socket_path=socket_path,

@@ -45,7 +45,6 @@ one re-entrant lock so a daemon thread pool can drive it directly.
 from __future__ import annotations
 
 import threading
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,25 +143,20 @@ class AllocationService:
 
     Parameters
     ----------
-    jobs:
-        Worker processes for sweep fan-out (forwarded to the
-        :class:`~repro.exec.engine.ExperimentEngine` when ``engine`` is
-        not supplied); ``1`` executes sweeps in-process.
     engine:
         Share an existing engine (and its cache) instead of building a
         private uncached one.
     export_shm:
         Accepts only ``False``; ``True`` raises
         :class:`~repro.errors.ConfigurationError`.  Fleets are never
-        exported (sweep workers rebuild them from their keys), and the
-        keyword remains only because the benchmark harness still passes
+        exported (sweeps run in this process), and the keyword remains
+        only because the benchmark harness still passes
         ``export_shm=False``.  A benchmark change drops it.
     """
 
     def __init__(
         self,
         *,
-        jobs: int = 1,
         engine: ExperimentEngine | None = None,
         export_shm: bool = False,
     ):
@@ -171,7 +165,7 @@ class AllocationService:
                 "shared-memory fleet export was removed; pass export_shm=False"
             )
         self._lock = threading.RLock()
-        self._engine = engine if engine is not None else ExperimentEngine(jobs=jobs)
+        self._engine = engine if engine is not None else ExperimentEngine()
         self._fleets: dict[str, _FleetState] = {}
         self._next_id = 0
         self._closed = False
@@ -378,20 +372,7 @@ class AllocationService:
             for scheme in req.schemes
             for budget in req.budgets_w
         ]
-        try:
-            results = self._engine.submit_sweep(
-                keys, skip_infeasible=True
-            )
-        except BrokenProcessPool:
-            # A pool worker died mid-sweep (OOM kill, crash, fault
-            # injection).  Nothing was cached for the failed keys, so
-            # the request is safe to retry.
-            raise ServiceError(
-                "worker-crashed",
-                "an engine worker died mid-sweep; the request is safe "
-                "to retry",
-                retryable=True,
-            )
+        results = self._engine.submit_sweep(keys, skip_infeasible=True)
         telemetry.count("service.sweep")
         telemetry.count("service.sweep_runs", len(keys))
         runs = []

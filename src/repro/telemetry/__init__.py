@@ -24,9 +24,10 @@ spans, metric instruments, phase timelines, and run-constant arrays,
 renderable with :func:`format_report` and exportable with
 :func:`~repro.telemetry.sinks.write_sinks`.
 
-The collector is per-process: engine pool workers (``jobs > 1``) start
-fresh with telemetry disabled, so a traced session observes the parent
-process — dispatch, cache traffic, and any runs executed in-process.
+The collector is per-process.  Every engine run executes in the
+calling process, so a traced session observes all of it — dispatch,
+cache traffic and the runs themselves; the tiled executor's threads
+record into the same collector.
 """
 
 from __future__ import annotations

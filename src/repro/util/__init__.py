@@ -13,7 +13,6 @@ from repro.util.tables import render_table
 from repro.util.topology import (
     NumaNode,
     NumaTopology,
-    cpu_slices,
     effective_cpu_count,
     probe_topology,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "spawn_rng",
     "NumaNode",
     "NumaTopology",
-    "cpu_slices",
     "effective_cpu_count",
     "probe_topology",
     "LinearFit",

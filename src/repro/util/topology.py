@@ -1,7 +1,7 @@
-"""CPU/NUMA topology probing and the node-major CPU slicing rule.
+"""CPU/NUMA topology probing.
 
-The worker pools place work on cores; this module is the one place
-that knows what the cores *are*.  Three pieces:
+This module is the one place that knows what the cores *are*.  Two
+pieces:
 
 * :func:`probe_topology` parses the Linux sysfs NUMA layout
   (``/sys/devices/system/node/node*/cpulist``) and intersects it with
@@ -14,11 +14,10 @@ that knows what the cores *are*.  Three pieces:
   hosts all see the same shape of answer.
 * :func:`effective_cpu_count` is the affinity-aware replacement for
   ``os.cpu_count()`` that every default worker count in this package
+  (the tiled executor's threads, the load generator's connections)
   derives from.
-* :func:`cpu_slices` cuts the effective CPU set into one node-major
-  slice per pool worker — the slices the engine pins its workers to.
 
-Placement is execution layout only — nothing here may influence a
+Topology is execution layout only — nothing here may influence a
 result, a cache digest, or a plan's simulated semantics
 (``docs/ARCHITECTURE.md`` invariant 11).  The module is a ``util`` leaf:
 it imports nothing above :mod:`repro.errors`.
@@ -37,7 +36,6 @@ __all__ = [
     "NumaTopology",
     "probe_topology",
     "effective_cpu_count",
-    "cpu_slices",
 ]
 
 _SYSFS_NODES = "devices/system/node"
@@ -180,29 +178,3 @@ def probe_topology(
         # silently dropping CPUs.
         return _flat_topology(effective)
     return NumaTopology(nodes=tuple(nodes), source="sysfs")
-
-
-def cpu_slices(
-    n_workers: int, topology: NumaTopology | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """``n_workers`` CPU slices covering ``topology`` (default: a fresh
-    :func:`probe_topology`).
-
-    CPUs are laid out node-major, so a slice's CPUs share a node
-    whenever the arithmetic allows; with more workers than CPUs the
-    assignment wraps (slices of one shared CPU each) — placement stays
-    deterministic, it simply stops being exclusive.
-    """
-    if n_workers <= 0:
-        raise ConfigurationError(f"n_workers must be positive; got {n_workers}")
-    cpus = (topology if topology is not None else probe_topology()).cpus
-    if n_workers >= len(cpus):
-        return tuple((cpus[i % len(cpus)],) for i in range(n_workers))
-    base, extra = divmod(len(cpus), n_workers)
-    out: list[tuple[int, ...]] = []
-    start = 0
-    for w in range(n_workers):
-        width = base + (1 if w < extra else 0)
-        out.append(cpus[start:start + width])
-        start += width
-    return tuple(out)

@@ -1,8 +1,8 @@
 """Suite-wide fixtures.
 
-Nothing in the package creates named POSIX shared memory: engine pool
-workers rebuild their fleets from run keys, and the allocation service
-keeps its fleets in process.  A ``psm_*`` segment left in ``/dev/shm``
+Nothing in the package creates named POSIX shared memory: every run
+builds its fleet from its run key in the calling process, and the
+allocation service keeps its fleets in process.  A ``psm_*`` segment left in ``/dev/shm``
 would persist past the interpreter, so the autouse fixture below turns
 every test into a leak check: it snapshots the segment names before the
 test and fails if new ones survive it.

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.apps.registry import get_app
-from repro.core.runner import run_budgeted, run_uncapped
+from repro.cluster.configs import build_hetero_system
+from repro.core.runner import run_budgeted, run_uncapped, uncapped_power_w
 from repro.errors import ConfigurationError
 
 
@@ -94,3 +95,23 @@ class TestResultMetrics:
         )
         # Different calibration module, different alpha (BT's residual).
         assert a.solution.alpha != b.solution.alpha
+
+
+class TestUncappedPowerWithoutSimulation:
+    """``uncapped_power_w`` reads the uncapped draw off the operating
+    point; it must equal the simulated run's realised power bit for bit
+    on every uncapped actuation: fmax, Turbo, and per-type fmax."""
+
+    @pytest.mark.parametrize("turbo", [False, True])
+    def test_uniform_fleet(self, ha8k_small, turbo):
+        app = get_app("bt")
+        run = run_uncapped(ha8k_small, app, n_iters=3, turbo=turbo)
+        assert uncapped_power_w(ha8k_small, app, turbo=turbo) == run.total_power_w
+
+    def test_mixed_fleet(self):
+        system = build_hetero_system(
+            [("cpu-ivy-bridge-e5-2697v2", 12), ("gpu-v100-sxm2", 12)], seed=3
+        )
+        app = get_app("bt")
+        run = run_uncapped(system, app, n_iters=3)
+        assert uncapped_power_w(system, app) == run.total_power_w

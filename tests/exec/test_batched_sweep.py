@@ -1,8 +1,7 @@
 """Differential proof for the config-batched sweep path.
 
 :meth:`ExperimentEngine.submit_sweep` groups pending keys that share a
-system/fleet/app and executes each group as one vectorised pass (with
-``jobs > 1``, each pool worker rebuilds the fleet from the keys).
+system/fleet/app and executes each group as one vectorised pass.
 Everything observable must match running each key alone
 (:meth:`ExperimentEngine.run`, a one-config batch) bit-for-bit: results,
 cached NPZ payloads, key digests, and infeasible semantics.
@@ -81,7 +80,7 @@ def sequential_reference():
 
 class TestBatchedBitIdentity:
     def test_batched_inprocess_equals_sequential(self, sequential_reference):
-        engine = ExperimentEngine(jobs=1)
+        engine = ExperimentEngine()
         results = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
@@ -91,21 +90,12 @@ class TestBatchedBitIdentity:
         assert engine.stats.n_batches == 2
         assert engine.stats.batched_keys == 25
 
-    def test_batched_pool_equals_sequential(
-        self, sequential_reference
-    ):
-        engine = ExperimentEngine(jobs=4)
-        results = engine.submit_sweep(SWEEP)
-        _assert_sweeps_identical(results, sequential_reference)
-        assert engine.stats.executed == len(SWEEP)
-        assert engine.stats.batched_keys == 25
-
     def test_per_key_run_loop_equals_sweep(self, sequential_reference):
-        engine = ExperimentEngine(jobs=1)
+        engine = ExperimentEngine()
         results = [engine.run(k) for k in SWEEP]
         _assert_sweeps_identical(results, sequential_reference)
         _assert_sweeps_identical(
-            ExperimentEngine(jobs=1).submit_sweep(SWEEP), results
+            ExperimentEngine().submit_sweep(SWEEP), results
         )
         assert engine.stats.n_batches == 0
 

@@ -1,10 +1,10 @@
 """Differential correctness harness for the experiment engine.
 
 The engine's whole value rests on one guarantee: a run's result is a
-pure function of its :class:`RunKey`, so parallel fan-out and cached
-results can stand in for sequential, freshly computed ones.  These tests
-prove it differentially on a fig7-style sweep: sequential-uncached,
-``jobs=4``-uncached, cold-cache, and warm-cache executions must produce
+pure function of its :class:`RunKey`, so batched sweeps and cached
+results can stand in for per-key, freshly computed ones.  These tests
+prove it differentially on a fig7-style sweep: per-key-uncached,
+swept-uncached, cold-cache, and warm-cache executions must produce
 bit-identical :class:`RunResult` arrays.
 """
 
@@ -74,7 +74,7 @@ def sequential_reference():
 
 class TestDifferentialDeterminism:
     def test_parallel_equals_sequential(self, sequential_reference):
-        engine = ExperimentEngine(jobs=4)
+        engine = ExperimentEngine()
         results = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(results, sequential_reference)
         assert engine.stats.executed == len(SWEEP)
@@ -82,21 +82,21 @@ class TestDifferentialDeterminism:
     def test_cold_cache_parallel_equals_sequential(
         self, sequential_reference, tmp_path
     ):
-        engine = ExperimentEngine(jobs=4, cache_dir=tmp_path)
+        engine = ExperimentEngine(cache_dir=tmp_path)
         cold = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(cold, sequential_reference)
         assert engine.stats.misses == len(SWEEP)
         assert engine.stats.hits == 0
 
     def test_warm_cache_equals_sequential(self, sequential_reference, tmp_path):
-        engine = ExperimentEngine(jobs=4, cache_dir=tmp_path)
+        engine = ExperimentEngine(cache_dir=tmp_path)
         engine.submit_sweep(SWEEP)
         warm = engine.submit_sweep(SWEEP)
         _assert_sweeps_identical(warm, sequential_reference)
         assert engine.stats.hits == len(SWEEP)
 
     def test_reversed_order_equals_sequential(self, sequential_reference):
-        engine = ExperimentEngine(jobs=4)
+        engine = ExperimentEngine()
         results = engine.submit_sweep(list(reversed(SWEEP)))
         _assert_sweeps_identical(results, list(reversed(sequential_reference)))
 
@@ -110,7 +110,7 @@ class TestDifferentialDeterminism:
 
 class TestSweepSemantics:
     def test_results_in_input_order(self):
-        engine = ExperimentEngine(jobs=4)
+        engine = ExperimentEngine()
         results = engine.submit_sweep(SWEEP)
         for key, result in zip(SWEEP, results):
             assert result.app_name == key.app
@@ -142,9 +142,10 @@ class TestSweepSemantics:
 
     def test_map_parallel_equals_sequential(self):
         items = list(range(20))
-        seq = ExperimentEngine().map(_square, items)
-        par = ExperimentEngine(jobs=4).map(_square, items)
-        assert seq == par == [i * i for i in items]
+        engine = ExperimentEngine()
+        assert engine.map(_square, items, label="sq") == [i * i for i in items]
+        # The stage keeps its one stats record (perfbench wraps map too).
+        assert [r.label for r in engine.stats.records] == ["sq[20]"]
 
 
 def _square(x: int) -> int:
@@ -156,7 +157,6 @@ class TestGlobalEngine:
         reset()
         try:
             engine = get_engine()
-            assert engine.jobs == 1
             assert engine.cache is None
             assert get_engine() is engine
         finally:

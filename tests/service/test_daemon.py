@@ -177,6 +177,13 @@ class TestBackpressure:
         assert report.n_error == 0
         assert report.qps > 0
 
+    def test_loadgen_default_concurrency_is_affinity_derived(self):
+        from repro.service.loadgen import _default_concurrency
+        from repro.util.topology import effective_cpu_count
+
+        expected = max(1, min(4, 2 * effective_cpu_count()))
+        assert _default_concurrency() == expected
+
 
 class TestDrain:
     def test_drain_destroys_fleets_and_socket(self, psm_segments):

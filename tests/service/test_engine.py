@@ -222,7 +222,7 @@ class TestSweepDigestProof:
         )
         # A totally independent engine over the equivalent RunKeys.
         keys = self.keys()
-        direct = ExperimentEngine(jobs=1).submit_batched_sweep(
+        direct = ExperimentEngine().submit_batched_sweep(
             keys, skip_infeasible=True
         )
 

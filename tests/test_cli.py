@@ -59,23 +59,20 @@ class TestCli:
 class TestEngineFlags:
     def test_defaults(self):
         args = build_parser().parse_args(["fig7"])
-        assert args.jobs == 1
         assert args.cache_dir is None
         assert not args.no_cache
         assert not args.stats
 
     def test_all_flags_parse(self, tmp_path):
         args = build_parser().parse_args(
-            ["fig7", "--jobs", "4", "--cache-dir", str(tmp_path), "--stats"]
+            ["fig7", "--cache-dir", str(tmp_path), "--stats"]
         )
-        assert args.jobs == 4
         assert args.cache_dir == str(tmp_path)
         assert args.stats
 
     def test_cli_configures_global_engine(self, tmp_path, capsys):
-        assert main(["table1", "--jobs", "3", "--cache-dir", str(tmp_path)]) == 0
+        assert main(["table1", "--cache-dir", str(tmp_path)]) == 0
         engine = get_engine()
-        assert engine.jobs == 3
         assert engine.cache is not None
         assert engine.cache.dir == tmp_path
 
@@ -224,14 +221,14 @@ class TestSchemesCommand:
             del ALL_SCHEMES["extra"]
 
 
-#: The removed worker-pinning flag, split so that a search of the tree
-#: for leftover uses of it finds none.
+#: The removed worker-pinning and worker-pool flags, split so that a
+#: search of the tree for leftover uses of them finds none.
 _REMOVED_PIN_FLAG = "--" + "pin"
+_REMOVED_JOBS_FLAG = "--" + "jobs"
 
 
 class TestTopoCommand:
-    def test_prints_topology_and_pinning_rule(self, capsys):
-        from repro.exec import pins_workers
+    def test_prints_topology_and_effective_cpus(self, capsys):
         from repro.util.topology import effective_cpu_count
 
         assert main(["topo"]) == 0
@@ -239,22 +236,24 @@ class TestTopoCommand:
         lines = out.splitlines()
         assert "Node" in out and "topology (source:" in out
         assert f"effective CPUs: {effective_cpu_count()}" in lines
-        expected = (
-            "pinned to one node-major CPU slice"
-            if pins_workers(2)
-            else "unsupported on this platform"
-        )
-        assert any(
-            line.startswith("worker pinning:") and expected in line
-            for line in lines
-        )
+        assert not any(line.startswith("worker pinning:") for line in lines)
         assert _REMOVED_PIN_FLAG not in out
+        assert _REMOVED_JOBS_FLAG not in out
 
     def test_pin_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([_REMOVED_PIN_FLAG, "fig1"])
         assert exc.value.code == 2
         assert _REMOVED_PIN_FLAG in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [_REMOVED_JOBS_FLAG, "-j"])
+    def test_jobs_flag_is_gone(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([flag, "2", "fig1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in err
+        assert "Traceback" not in err
 
 
 class TestTelemetryFlags:

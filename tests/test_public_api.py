@@ -146,8 +146,8 @@ class TestSufficiency:
         assert result.within_budget
         assert result.makespan_s > 0.0
         # The engine surface is live too.
-        ns["configure"](jobs=1, use_cache=False)
-        assert ns["get_engine"]().jobs == 1
+        ns["configure"](use_cache=False)
+        assert ns["get_engine"]().cache is None
 
     def test_registry_derives_and_registers_variants(self):
         variant = repro.get_scheme("vapc", actuation="fs")

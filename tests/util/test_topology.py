@@ -1,5 +1,5 @@
-"""Tests for :mod:`repro.util.topology`: the sysfs prober, the flat
-fallback, and the node-major CPU slicing rule.
+"""Tests for :mod:`repro.util.topology`: the sysfs prober and the flat
+fallback.
 
 Synthetic sysfs trees (``tmp_path``) drive the multi-node paths so the
 suite behaves identically on 1-core CI containers and multi-socket
@@ -15,7 +15,6 @@ from repro.util.topology import (
     NumaNode,
     NumaTopology,
     _parse_cpulist,
-    cpu_slices,
     effective_cpu_count,
     probe_topology,
 )
@@ -98,34 +97,6 @@ class TestTopologyValidation:
                 nodes=(NumaNode(0, (0, 1)), NumaNode(1, (1, 2))),
                 source="sysfs",
             )
-
-
-def two_node_topology():
-    return NumaTopology(
-        nodes=(NumaNode(0, (0, 1, 2, 3)), NumaNode(1, (4, 5, 6, 7))),
-        source="sysfs",
-    )
-
-
-class TestCpuSlices:
-    def test_slices_partition_node_major(self):
-        slices = cpu_slices(2, two_node_topology())
-        assert slices == ((0, 1, 2, 3), (4, 5, 6, 7))
-
-    def test_slices_exact_cover_when_uneven(self):
-        slices = cpu_slices(3, two_node_topology())
-        flat = [c for s in slices for c in s]
-        assert sorted(flat) == list(range(8))
-        assert len(flat) == len(set(flat))
-
-    def test_more_workers_than_cpus_wraps(self):
-        topo = NumaTopology(nodes=(NumaNode(0, (0,)),), source="flat")
-        slices = cpu_slices(4, topo)
-        assert slices == ((0,), (0,), (0,), (0,))
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cpu_slices(0, two_node_topology())
 
 
 class TestProcessGlobals:
